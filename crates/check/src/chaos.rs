@@ -502,7 +502,13 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
     };
     let mut stats = ChaosStats::default();
     let fleet = Fleet::new(cfg.clone());
-    let reference = fleet.run_on(shards, QueueKind::Wheel);
+    // The fault-free reference holds the install lock with an empty plan:
+    // the plan is process-global, so a plan installed by a concurrent
+    // caller would otherwise leak into it.
+    let reference = {
+        let _guard = install(FaultPlan::seeded(0));
+        fleet.run_on(shards, QueueKind::Wheel)
+    };
     if !reference.health.all_ok() {
         return Err(fail("fault-free reference run was not clean".into()));
     }

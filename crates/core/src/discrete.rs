@@ -130,25 +130,50 @@ impl<U: Utility> DiscreteModel<U> {
         let kbar = self.load.mean();
         let mut acc = NeumaierSum::new();
         let len = self.load.len() as u64;
-        for k in 1..len {
-            let p = self.load.pmf(k);
-            let pi = self.utility.value(capacity / k as f64);
-            if p > 0.0 {
-                acc.add(p * k as f64 * pi);
+        // The table is walked in blocks that end on the periodic exit
+        // check (k = 64, 128, …): each block's bandwidths go through one
+        // `value_slice` call, so families with a libm transcendental run
+        // their calls back to back. A block whose last π is exactly 0
+        // holds the π = 0 exit (π is nonincreasing in k), so it is
+        // evaluated lazily per k instead — a short table then still stops
+        // after the first zero rather than paying for the whole block.
+        let mut bs = [0.0f64; 64];
+        let mut pis = [0.0f64; 64];
+        let mut k0 = 1;
+        while k0 < len {
+            let k1 = ((k0 / 64 + 1) * 64).min(len - 1);
+            let n = (k1 - k0 + 1) as usize;
+            for (j, b) in bs[..n].iter_mut().enumerate() {
+                *b = capacity / (k0 + j as u64) as f64;
             }
-            // Early exit: remaining Σ_{j>k} P(j)·j·π(C/j) ≤ π(C/k)·tail mean
-            // (π is nonincreasing in k). Checked every 64 entries, and
-            // additionally as soon as π reaches exactly 0 — from there every
-            // remaining term is exactly 0.0 and the bound is exact, so the
-            // exit stays bitwise neutral even for tables shorter than 64
-            // entries (which the periodic check alone never reaches).
-            if k % 64 == 0 || pi == 0.0 {
-                let bound = pi * self.load.tail_mean_above(k);
-                if bound <= 1e-15 * acc.total().abs().max(1e-300) {
-                    acc.add(0.5 * bound);
-                    break;
+            pis[n - 1] = self.utility.value(bs[n - 1]);
+            let lazy = pis[n - 1] == 0.0;
+            if !lazy {
+                self.utility.value_slice(&bs[..n - 1], &mut pis[..n - 1]);
+            }
+            for j in 0..n {
+                let k = k0 + j as u64;
+                let p = self.load.pmf(k);
+                let pi = if lazy && j + 1 < n { self.utility.value(bs[j]) } else { pis[j] };
+                if p > 0.0 {
+                    acc.add(p * k as f64 * pi);
+                }
+                // Early exit: remaining Σ_{j>k} P(j)·j·π(C/j) ≤ π(C/k)·tail
+                // mean (π is nonincreasing in k). Checked every 64 entries,
+                // and additionally as soon as π reaches exactly 0 — from
+                // there every remaining term is exactly 0.0 and the bound
+                // is exact, so the exit stays bitwise neutral even for
+                // tables shorter than 64 entries (which the periodic check
+                // alone never reaches).
+                if k.is_multiple_of(64) || pi == 0.0 {
+                    let bound = pi * self.load.tail_mean_above(k);
+                    if bound <= 1e-15 * acc.total().abs().max(1e-300) {
+                        acc.add(0.5 * bound);
+                        return acc.total() / kbar;
+                    }
                 }
             }
+            k0 = k1 + 1;
         }
         acc.total() / kbar
     }

@@ -15,9 +15,11 @@
 //! Two evaluation modes are offered ([`PiEval`]):
 //!
 //! * [`PiEval::Exact`] — the default. Per retired-lane arithmetic is an
-//!   **op-for-op mirror of the scalar path**: same `π` calls, same
-//!   [`NeumaierSum`] accumulation order, same early-exit test and
-//!   tail-midpoint correction, same fault-injection wrapping. Results are
+//!   **op-for-op mirror of the scalar path**: same `π` values (evaluated a
+//!   whole lane window per `k` through [`Utility::value_slice`], bitwise
+//!   `value` per element), same [`NeumaierSum`] accumulation order, same
+//!   early-exit test and tail-midpoint correction, same fault-injection
+//!   wrapping. Results are
 //!   bitwise identical to calling [`DiscreteModel::best_effort`] /
 //!   [`DiscreteModel::reservation_with_kmax`] point by point — the
 //!   workspace's differential ladder and golden corpus rely on this.
@@ -197,10 +199,14 @@ pub fn best_effort_grid<U: Utility>(
     mode: PiEval,
 ) -> Vec<f64> {
     assert_sorted(capacities);
+    // B alone is the fused pass with no reservation heads.
+    let no_heads = vec![0u64; capacities.len()];
     let raw = match mode {
-        PiEval::Exact => best_effort_grid_pointwise(model, capacities, U::value),
+        PiEval::Exact => fused_grid_pointwise(model, capacities, &no_heads, U::value_slice).0,
         PiEval::Fast => best_effort_grid_fast(model, capacities),
-        PiEval::Portable => best_effort_grid_pointwise(model, capacities, U::value_portable),
+        PiEval::Portable => {
+            fused_grid_pointwise(model, capacities, &no_heads, value_portable_slice).0
+        }
     };
     capacities
         .iter()
@@ -216,63 +222,12 @@ pub fn best_effort_grid<U: Utility>(
         .collect()
 }
 
-/// Pointwise-π kernel: outer `k`, inner scalar-mirrored lane update.
-///
-/// `pi_of` selects the evaluation ([`Utility::value`] for the exact mode,
-/// [`Utility::value_portable`] for the portable mode); everything else —
-/// accumulation order, early-exit test, tail-midpoint correction — is an
-/// op-for-op mirror of the scalar path, so with `U::value` the result is
-/// bitwise the scalar one.
-fn best_effort_grid_pointwise<U: Utility>(
-    model: &DiscreteModel<U>,
-    capacities: &[f64],
-    pi_of: impl Fn(&U, f64) -> f64,
-) -> Vec<f64> {
-    let load = model.load();
-    let u = model.utility();
-    let kbar = load.mean();
-    let g = capacities.len();
-    let len = load.len() as u64;
-
-    let mut acc = vec![NeumaierSum::new(); g];
-    let mut active: Vec<bool> = capacities.iter().map(|&c| c > 0.0).collect();
-    let mut alive = active.iter().filter(|&&a| a).count();
-    // Lanes exit smallest-capacity-first, so finished lanes form a growing
-    // prefix; `start` skips it. Mid-grid holes (possible but rare) are
-    // handled by the per-lane `active` flag.
-    let mut start = 0usize;
-
-    for k in 1..len {
-        if alive == 0 {
-            break;
-        }
-        let p = load.pmf(k);
-        let kf = k as f64;
-        let check = k % 64 == 0;
-        let tail_mean = load.tail_mean_above(k);
-        for i in start..g {
-            if !active[i] {
-                continue;
-            }
-            // Mirror of `best_effort_uninstrumented`'s loop body, per lane.
-            let pi = pi_of(u, capacities[i] / kf);
-            if p > 0.0 {
-                acc[i].add(p * kf * pi);
-            }
-            if check || pi == 0.0 {
-                let bound = pi * tail_mean;
-                if bound <= 1e-15 * acc[i].total().abs().max(1e-300) {
-                    acc[i].add(0.5 * bound);
-                    active[i] = false;
-                    alive -= 1;
-                }
-            }
-        }
-        while start < g && !active[start] {
-            start += 1;
-        }
+/// [`Utility::value_portable`] over a bandwidth slice — the portable
+/// mode's `π` pass (the exact mode's is [`Utility::value_slice`]).
+fn value_portable_slice<U: Utility>(u: &U, bs: &[f64], out: &mut [f64]) {
+    for (o, &b) in out.iter_mut().zip(bs) {
+        *o = u.value_portable(b);
     }
-    acc.into_iter().map(|a| a.total() / kbar).collect()
 }
 
 /// Truncation threshold for the fast kernel's early-exit bound, relative
@@ -595,11 +550,11 @@ fn sweep_grid_fused_inner<U: Utility>(
 
     let (best_raw, heads) = match mode {
         PiEval::Exact => {
-            let (b, r) = fused_grid_pointwise(model, capacities, &cap_k, U::value);
+            let (b, r) = fused_grid_pointwise(model, capacities, &cap_k, U::value_slice);
             (b, Heads::Pointwise(r))
         }
         PiEval::Portable => {
-            let (b, r) = fused_grid_pointwise(model, capacities, &cap_k, U::value_portable);
+            let (b, r) = fused_grid_pointwise(model, capacities, &cap_k, value_portable_slice);
             (b, Heads::Pointwise(r))
         }
         PiEval::Fast => {
@@ -683,11 +638,20 @@ fn sweep_grid_fused_inner<U: Utility>(
 /// path's early-exit frontier) and the reservation-head accumulator (for
 /// `k ≤ k_max(C)`). `π` is pure, so sharing the evaluation leaves every
 /// accumulated bit identical to the unfused pair.
+///
+/// Each `k` runs in three passes over the live lane window: bandwidths
+/// `C/k` (pure IEEE division, vectorized), one `pi_slice` call (bitwise
+/// `π` per element — [`Utility::value_slice`] in the exact mode), then
+/// the accumulation. B goes through [`bevra_num::masked_neumaier_step`],
+/// bitwise [`NeumaierSum::add`] per live lane (a retired lane receives an
+/// exact `+0.0` — `π` is finite for positive bandwidths — a no-op on its
+/// nonnegative accumulator); the R head
+/// keeps a per-lane [`NeumaierSum`]. Pass `cap_k` all zeros for B alone.
 fn fused_grid_pointwise<U: Utility>(
     model: &DiscreteModel<U>,
     capacities: &[f64],
     cap_k: &[u64],
-    pi_of: impl Fn(&U, f64) -> f64,
+    pi_slice: impl Fn(&U, &[f64], &mut [f64]),
 ) -> (Vec<f64>, Vec<NeumaierSum>) {
     let load = model.load();
     let u = model.utility();
@@ -696,10 +660,17 @@ fn fused_grid_pointwise<U: Utility>(
     let len = load.len() as u64;
     let max_cap_k = cap_k.iter().copied().max().unwrap_or(0);
 
-    let mut acc_b = vec![NeumaierSum::new(); g];
+    let mut sums = vec![0.0f64; g];
+    let mut comps = vec![0.0f64; g];
     let mut acc_r = vec![NeumaierSum::new(); g];
-    let mut active: Vec<bool> = capacities.iter().map(|&c| c > 0.0).collect();
-    let mut alive = active.iter().filter(|&&a| a).count();
+    // 1.0 = B lane live, 0.0 = retired (or C ≤ 0, never live).
+    let mut mask: Vec<f64> = capacities.iter().map(|&c| if c > 0.0 { 1.0 } else { 0.0 }).collect();
+    let mut alive = mask.iter().filter(|&&m| m != 0.0).count();
+    let mut bs = vec![0.0f64; g];
+    let mut pis = vec![0.0f64; g];
+    // Lanes exit smallest-capacity-first, so finished lanes form a growing
+    // prefix; `start` skips it. Mid-grid holes (possible but rare) stay in
+    // the window with a 0.0 mask.
     let mut start = 0usize;
 
     for k in 1..len {
@@ -708,37 +679,54 @@ fn fused_grid_pointwise<U: Utility>(
         }
         let p = load.pmf(k);
         let kf = k as f64;
-        let check = k % 64 == 0;
-        let tail_mean = load.tail_mean_above(k);
-        for i in start..g {
-            let b_live = active[i];
-            let r_live = k <= cap_k[i];
-            if !b_live && !r_live {
-                continue;
-            }
-            let pi = pi_of(u, capacities[i] / kf);
-            if r_live && p > 0.0 {
-                acc_r[i].add(p * kf * pi);
-            }
-            if b_live {
-                if p > 0.0 {
-                    acc_b[i].add(p * kf * pi);
-                }
-                if check || pi == 0.0 {
-                    let bound = pi * tail_mean;
-                    if bound <= 1e-15 * acc_b[i].total().abs().max(1e-300) {
-                        acc_b[i].add(0.5 * bound);
-                        active[i] = false;
-                        alive -= 1;
+        for (b, &c) in bs[start..].iter_mut().zip(&capacities[start..]) {
+            *b = c / kf;
+        }
+        pi_slice(u, &bs[start..], &mut pis[start..]);
+        if p > 0.0 {
+            if k <= max_cap_k {
+                for i in start..g {
+                    if k <= cap_k[i] {
+                        acc_r[i].add(p * kf * pis[i]);
                     }
                 }
             }
+            if alive > 0 {
+                bevra_num::masked_neumaier_step(
+                    p * kf,
+                    &pis[start..],
+                    &mask[start..],
+                    &mut sums[start..],
+                    &mut comps[start..],
+                );
+            }
         }
-        while start < g && !active[start] && k >= cap_k[start] {
+        // Mirror of `best_effort_uninstrumented`'s exit test, per live lane.
+        let check = k % 64 == 0;
+        let tail_mean = load.tail_mean_above(k);
+        for i in start..g {
+            let pi = pis[i];
+            if mask[i] != 0.0 && (check || pi == 0.0) {
+                let bound = pi * tail_mean;
+                if bound <= 1e-15 * (sums[i] + comps[i]).abs().max(1e-300) {
+                    // Tail-midpoint correction: `NeumaierSum::add` on the
+                    // SoA pair, op for op.
+                    let v = 0.5 * bound;
+                    let s = sums[i];
+                    let t = s + v;
+                    comps[i] += if s.abs() >= v.abs() { (s - t) + v } else { (v - t) + s };
+                    sums[i] = t;
+                    mask[i] = 0.0;
+                    alive -= 1;
+                }
+            }
+        }
+        while start < g && mask[start] == 0.0 && k >= cap_k[start] {
             start += 1;
         }
     }
-    (acc_b.into_iter().map(|a| a.total() / kbar).collect(), acc_r)
+    let best = sums.iter().zip(&comps).map(|(&s, &c)| (s + c) / kbar).collect();
+    (best, acc_r)
 }
 
 /// Span length between early-exit probes in the fast fused kernel.

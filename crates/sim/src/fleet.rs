@@ -504,6 +504,15 @@ mod tests {
         }
     }
 
+    /// Run `f` with no faults injected. The fault plan is process-global,
+    /// so a plan-free run outside the install lock would see whichever
+    /// plan a concurrently scheduled test has installed; holding the lock
+    /// with an empty plan keeps the reference runs clean.
+    fn fault_free<T>(f: impl FnOnce() -> T) -> T {
+        let _guard = install(FaultPlan::seeded(0));
+        f()
+    }
+
     /// Suppress the default panic-hook noise for injected panics only
     /// (they are expected and caught); everything else still prints.
     fn silence_injected_panics() {
@@ -525,11 +534,11 @@ mod tests {
     #[test]
     fn digest_invariant_across_shard_counts() {
         let fleet = Fleet::new(fleet_cfg(10));
-        let reference = fleet.run_on(1, QueueKind::Wheel);
+        let reference = fault_free(|| fleet.run_on(1, QueueKind::Wheel));
         assert!(reference.health.all_ok());
         assert_eq!(reference.health.ok_lanes, 10);
         for shards in [2, 3, 7, 10, 64] {
-            let r = fleet.run_on(shards, QueueKind::Wheel);
+            let r = fault_free(|| fleet.run_on(shards, QueueKind::Wheel));
             assert_eq!(
                 r.merged.digest(),
                 reference.merged.digest(),
@@ -538,15 +547,16 @@ mod tests {
             assert_eq!(r.lane_digests, reference.lane_digests);
         }
         // Queue choice is invisible too.
-        let heap = fleet.run_on(3, QueueKind::Heap);
+        let heap = fault_free(|| fleet.run_on(3, QueueKind::Heap));
         assert_eq!(heap.merged.digest(), reference.merged.digest());
     }
 
     #[test]
     fn single_lane_merge_is_identity() {
         let fleet = Fleet::new(fleet_cfg(1));
-        let r = fleet.run_on(1, QueueKind::Wheel);
-        let solo = Simulation::new(fleet.lane_config(0)).run();
+        let (r, solo) = fault_free(|| {
+            (fleet.run_on(1, QueueKind::Wheel), Simulation::new(fleet.lane_config(0)).run())
+        });
         assert_eq!(r.merged.digest(), solo.digest());
         assert_eq!(r.merged.events, solo.events);
     }
@@ -554,12 +564,12 @@ mod tests {
     #[test]
     fn merged_counters_equal_lane_sums() {
         let fleet = Fleet::new(fleet_cfg(4));
-        let r = fleet.run_on(2, QueueKind::Wheel);
+        let r = fault_free(|| fleet.run_on(2, QueueKind::Wheel));
         let mut completed = 0;
         let mut events = 0;
         let mut utility_n = 0;
         for lane in 0..4 {
-            let solo = Simulation::new(fleet.lane_config(lane)).run();
+            let solo = fault_free(|| Simulation::new(fleet.lane_config(lane)).run());
             completed += solo.completed;
             events += solo.events;
             utility_n += solo.utility_time_avg.count();
@@ -574,7 +584,7 @@ mod tests {
     #[test]
     fn lanes_decorrelate_via_derived_seeds() {
         let fleet = Fleet::new(fleet_cfg(3));
-        let r = fleet.run_on(1, QueueKind::Wheel);
+        let r = fault_free(|| fleet.run_on(1, QueueKind::Wheel));
         let digests: Vec<_> = r.lane_digests.iter().flatten().copied().collect();
         assert_eq!(digests.len(), 3);
         assert!(digests.windows(2).all(|w| w[0] != w[1]), "lane seeds must differ");
@@ -584,7 +594,7 @@ mod tests {
     fn lane_budget_truncation_is_accounted_not_fatal() {
         let mut cfg = fleet_cfg(3);
         cfg.base.max_events = Some(2_000);
-        let r = Fleet::new(cfg).run_on(2, QueueKind::Wheel);
+        let r = fault_free(|| Fleet::new(cfg).run_on(2, QueueKind::Wheel));
         assert!(r.health.all_ok(), "budget exhaustion is not a shard failure");
         assert_eq!(r.health.ok_lanes, 3);
         assert_eq!(r.health.truncated_lanes, 3);
@@ -595,7 +605,7 @@ mod tests {
     fn transient_lane_panic_is_restarted_to_identical_bits() {
         silence_injected_panics();
         let fleet = Fleet::new(fleet_cfg(6));
-        let reference = fleet.run_on(3, QueueKind::Wheel);
+        let reference = fault_free(|| fleet.run_on(3, QueueKind::Wheel));
         // Lane 2 panics on its first attempt only; the supervisor's
         // restart reproduces it from the derived seed.
         let plan = FaultPlan::seeded(0)
@@ -621,7 +631,7 @@ mod tests {
     fn permanent_shard_panic_is_rescued_lane_by_lane() {
         silence_injected_panics();
         let fleet = Fleet::new(fleet_cfg(6));
-        let reference = fleet.run_on(3, QueueKind::Wheel);
+        let reference = fault_free(|| fleet.run_on(3, QueueKind::Wheel));
         // The shard site is only crossed by whole shards — individual
         // lane re-runs bypass it, so even a *permanent* shard fault is
         // fully rescued by per-lane recovery.
@@ -640,7 +650,7 @@ mod tests {
     fn permanent_lane_death_trips_the_breaker_and_isolates() {
         silence_injected_panics();
         let fleet = Fleet::new(fleet_cfg(8));
-        let reference = fleet.run_on(1, QueueKind::Wheel);
+        let reference = fault_free(|| fleet.run_on(1, QueueKind::Wheel));
         // Every lane dies permanently: the first BREAKER_THRESHOLD lanes
         // burn their restart budget, then the breaker opens and most of
         // the rest are rejected without wasted attempts.
@@ -667,7 +677,7 @@ mod tests {
     fn single_dead_lane_leaves_other_lanes_bitwise_intact() {
         silence_injected_panics();
         let fleet = Fleet::new(fleet_cfg(6));
-        let reference = fleet.run_on(3, QueueKind::Wheel);
+        let reference = fault_free(|| fleet.run_on(3, QueueKind::Wheel));
         let plan =
             FaultPlan::seeded(0).rule(FaultRule::at_key(FaultKind::Panic, "sim/lane", 4));
         let r = {
@@ -689,7 +699,7 @@ mod tests {
     fn dropped_restart_is_caught_by_the_digest() {
         silence_injected_panics();
         let fleet = Fleet::new(fleet_cfg(6));
-        let reference = fleet.run_on(3, QueueKind::Wheel);
+        let reference = fault_free(|| fleet.run_on(3, QueueKind::Wheel));
         // Mutation test: with restarts disabled, the same transient fault
         // that recovery would rescue instead changes the merged digest —
         // i.e. the digest pin *does* catch a silently dropped restart.
@@ -720,7 +730,7 @@ mod tests {
     #[test]
     fn killed_fleet_resumes_bitwise_from_checkpoint() {
         silence_injected_panics();
-        let reference = Fleet::new(fleet_cfg(8)).run_on(8, QueueKind::Wheel);
+        let reference = fault_free(|| Fleet::new(fleet_cfg(8)).run_on(8, QueueKind::Wheel));
 
         // 8 shards in groups of GROUP_SHARDS = 2 groups; kill after the
         // first group's checkpoint is stored.
@@ -741,7 +751,7 @@ mod tests {
         // group's lanes restore from disk, the rest are simulated.
         let resume_store = FleetCheckpoint::new(dir, CacheMode::ReadWrite);
         let fleet = Fleet::new(fleet_cfg(8)).with_checkpoint(resume_store);
-        let resumed = fleet.run_on(8, QueueKind::Wheel);
+        let resumed = fault_free(|| fleet.run_on(8, QueueKind::Wheel));
         let cs = fleet.checkpoint_store().expect("store attached");
         assert!(cs.restored_lanes() > 0, "resume must restore checkpointed lanes");
         assert!(resumed.health.all_ok());

@@ -67,6 +67,19 @@ impl Utility for ExponentialElastic {
         }
     }
 
+    fn value_slice(&self, bs: &[f64], out: &mut [f64]) {
+        assert_eq!(bs.len(), out.len(), "bandwidth/output slices must match");
+        // Same two-pass shape as `AdaptiveExp::value_slice`: a vectorized
+        // exponent pass, then the libm calls back to back — bitwise
+        // `value` per element, including b ≤ 0, NaN and ±∞.
+        for (o, &b) in out.iter_mut().zip(bs) {
+            *o = -self.rate * b;
+        }
+        for (o, &b) in out.iter_mut().zip(bs) {
+            *o = if b <= 0.0 { 0.0 } else { -o.exp_m1() };
+        }
+    }
+
     fn value_slice_fast(&self, bs: &[f64], out: &mut [f64]) {
         // Fused dispatched kernel: branch-free clamp + 1 − e^{−rate·b} on
         // one vector path; b = 0 gives x = 0 ⇒ π = 0 exactly, matching
@@ -141,9 +154,10 @@ impl Utility for Saturating {
         assert_eq!(bs.len(), out.len(), "bandwidth/output slices must match");
         let s = self.scale;
         // Branchless select + one divide per lane: auto-vectorizes and is
-        // bitwise identical to `value` per element.
+        // bitwise identical to `value` per element. The test is `value`'s
+        // own `b <= 0.0`, so NaN takes the division (and stays NaN).
         for (o, &b) in out.iter_mut().zip(bs) {
-            *o = if b > 0.0 { b / (s + b) } else { 0.0 };
+            *o = if b <= 0.0 { 0.0 } else { b / (s + b) };
         }
     }
 

@@ -50,11 +50,20 @@ pub trait Utility: Send + Sync {
 
     /// Evaluate `π` over a bandwidth slice: `out[i] = value(bs[i])`.
     ///
-    /// The default loops over [`Utility::value`]; overrides must stay
-    /// **bitwise identical** to that loop (the batched welfare kernels rely
-    /// on this to mirror the scalar evaluation path exactly). Families whose
-    /// `value` is branch-light (e.g. step functions) may override this with
-    /// an auto-vectorizable loop.
+    /// This is how the exact welfare walks evaluate `π`: the per-point
+    /// best-effort sum (`bevra_core::DiscreteModel::best_effort`, which
+    /// serves every Δ probe) passes it one 64-entry block of `C/k` at a
+    /// time, and the exact/portable grid pass behind the engine's `batch`
+    /// backend (`bevra_core::discrete_batch`) passes it the live capacity
+    /// window at each `k`. Both rely on it being **bitwise identical** to
+    /// the default loop over [`Utility::value`], element by element —
+    /// including `b ≤ 0`, `−0.0`, NaN and ±∞ — so their results stay
+    /// bitwise the one-call-per-entry sum.
+    ///
+    /// Families whose `value` is branch-light (step functions, rationals)
+    /// override it with an auto-vectorizable select; the libm families
+    /// (`AdaptiveExp`, `ExponentialElastic`) with two passes — a
+    /// vectorized exponent pass, then the `exp_m1` calls back to back.
     ///
     /// # Panics
     ///

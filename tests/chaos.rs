@@ -62,7 +62,12 @@ fn pinned_cache_fault_scenario_degrades_to_recompute() {
         )
         .with_kernel(bevra::analysis::kernel::batch())
     };
-    let baseline = mk().sweep(&cs);
+    // Fault-free baseline under the install lock with an empty plan: the
+    // plan is process-global, and a concurrent test's plan would leak in.
+    let baseline = {
+        let _guard = install(FaultPlan::seeded(0));
+        mk().sweep(&cs)
+    };
 
     let dir = std::env::temp_dir().join(format!("bevra-pinned-cache-fault-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -175,8 +180,12 @@ fn pinned_shard_panic_is_accounted_and_isolated() {
         },
         lanes: 6,
     });
-    // Clean reference first, outside the fault plan's install lock.
-    let clean = fleet.run_on(3, QueueKind::Wheel);
+    // Clean reference first, under the install lock with an empty plan
+    // (the plan is process-global; a concurrent test's plan would leak in).
+    let clean = {
+        let _guard = install(FaultPlan::seeded(0));
+        fleet.run_on(3, QueueKind::Wheel)
+    };
     assert!(clean.health.all_ok(), "reference run must be healthy");
 
     // Two rules, keyed to lanes 2 and 3 (both in shard 1 under
