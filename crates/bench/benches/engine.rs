@@ -5,9 +5,7 @@
 //! the acceptance bench for the engine's speedup claims; results land in
 //! `BENCH_sweep.json` (see EXPERIMENTS.md § "Benchmark artifact schema").
 
-use bevra_core::DiscreteModel;
-use bevra_core::kernel;
-use bevra_core::{sweep_grid, sweep_grid_fused, PiEval};
+use bevra_core::{sweep_grid_fused, DiscreteModel, PiEval};
 use bevra_obs::energy::EnergyProbe;
 use bevra_engine::{Architecture, CacheMode, ExecMode, PersistentCache, SweepEngine};
 use bevra_load::{Algebraic, Geometric, Poisson, Tabulated, PAPER_MEAN_LOAD};
@@ -83,9 +81,9 @@ fn engine_sweeps(c: &mut Criterion) {
 /// The value-kernel acceptance benches: `k_max`/`B`/`R` for a 48-point
 /// Figure 4 grid (algebraic z = 3 load, adaptive utility, 2^18-entry
 /// table), isolating the kernels from the off-grid gap root-finder. Four
-/// canonical rows: scalar per-point, grid-batched (fast π), parallel
-/// batched, and warm persistent cache; plus the bitwise-exact batched and
-/// deterministic-portable backends for reference.
+/// canonical rows: per-point model calls, grid-batched (fast π), parallel
+/// batched, and warm persistent cache; plus a row per remaining backend
+/// (`PiEval::Exact`, `PiEval::Portable`) and the bare fused pass.
 fn kernel_sweeps(c: &mut Criterion) {
     let alg = Algebraic::from_mean(3.0, PAPER_MEAN_LOAD).expect("paper fig4 family");
     let load = Arc::new(Tabulated::from_model(&alg, 1e-9, 1 << 18));
@@ -108,7 +106,7 @@ fn kernel_sweeps(c: &mut Criterion) {
         b.points(n);
         b.iter(|| {
             let eng = SweepEngine::with_mode(model(), ExecMode::Serial)
-                .with_kernel(kernel::fast());
+                .with_kernel(PiEval::Fast);
             eng.prime(black_box(&cs));
         });
     });
@@ -116,7 +114,7 @@ fn kernel_sweeps(c: &mut Criterion) {
         b.points(n);
         b.iter(|| {
             let eng =
-                SweepEngine::with_mode(model(), ExecMode::Serial).with_kernel(kernel::batch());
+                SweepEngine::with_mode(model(), ExecMode::Serial).with_kernel(PiEval::Exact);
             eng.prime(black_box(&cs));
         });
     });
@@ -124,16 +122,15 @@ fn kernel_sweeps(c: &mut Criterion) {
         b.points(n);
         b.iter(|| {
             let eng =
-                SweepEngine::with_mode(model(), ExecMode::Serial).with_kernel(kernel::portable());
+                SweepEngine::with_mode(model(), ExecMode::Serial).with_kernel(PiEval::Portable);
             eng.prime(black_box(&cs));
         });
     });
-    // Fused B+R pass (this PR's claim): one traversal serves both grids,
-    // at the detected SIMD tier. Gated by perf_smoke.py --min-speedup
-    // against the unfused composition pinned to AVX2 below, which stands
-    // in for the pre-fusion batched-fast path (whose dispatch topped out
-    // at AVX2). Energy is recorded when the RAPL probe is available and
-    // reported as joules_per_sweep (null otherwise, never gated).
+    // The bare fused B+R pass (fast π) at the detected SIMD tier, without
+    // the engine around it. CI holds it to an absolute per-row bound
+    // against its committed baseline (perf_smoke.py --row-threshold).
+    // Energy is recorded when the RAPL probe is available and reported as
+    // joules_per_sweep (null otherwise, never gated).
     c.bench_function("kernel_sweep_fused", |b| {
         b.points(n);
         let m = model();
@@ -142,23 +139,13 @@ fn kernel_sweeps(c: &mut Criterion) {
             black_box(sweep_grid_fused(black_box(&m), black_box(&cs), PiEval::Fast));
         }));
     });
-    c.bench_function("kernel_sweep_unfused_avx2", |b| {
-        b.points(n);
-        let m = model();
-        bevra_num::simd::force_level(bevra_num::simd::Level::Avx2);
-        b.iter(|| black_box(sweep_grid(black_box(&m), black_box(&cs), PiEval::Fast)));
-        b.record_joules(measure_joules(8, || {
-            black_box(sweep_grid(black_box(&m), black_box(&cs), PiEval::Fast));
-        }));
-        bevra_num::simd::force_level(bevra_num::simd::detected());
-    });
 
     let threads = bevra_engine::thread_count();
     c.bench_function("kernel_sweep_parallel", |b| {
         b.points(n);
         b.iter(|| {
             let eng = SweepEngine::with_mode(model(), ExecMode::Parallel { threads })
-                .with_kernel(kernel::fast());
+                .with_kernel(PiEval::Fast);
             eng.prime(black_box(&cs));
         });
     });
@@ -169,14 +156,14 @@ fn kernel_sweeps(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
     let pcache = || PersistentCache::new(&dir, CacheMode::ReadWrite);
     SweepEngine::with_mode(model(), ExecMode::Serial)
-        .with_kernel(kernel::fast())
+        .with_kernel(PiEval::Fast)
         .with_persistent_cache(pcache())
         .prime(&cs);
     c.bench_function("kernel_sweep_warm_cache", |b| {
         b.points(n);
         b.iter(|| {
             let eng = SweepEngine::with_mode(model(), ExecMode::Serial)
-                .with_kernel(kernel::fast())
+                .with_kernel(PiEval::Fast)
                 .with_persistent_cache(pcache());
             eng.prime(black_box(&cs));
         });

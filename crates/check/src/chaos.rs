@@ -25,11 +25,10 @@
 //!    warm cached sweeps reproduce the uncached sweep bit for bit, and
 //!    absorbed faults only ever cost time, never numbers.
 //!
-//! Invariants 1, 2 and 6 run once per **registered kernel backend**
-//! (`bevra_engine::registry::backends()`): each backend's checked sweep
-//! must account exactly, and each grid-priming backend's cached sweeps
-//! must reproduce *that backend's* uncached sweep bit for bit. A backend
-//! added to the registry later gets this coverage automatically.
+//! Invariants 1, 2 and 6 run once per **kernel backend**
+//! ([`bevra_core::PiEval::ALL`]): each backend's checked sweep must
+//! account exactly, and its cached sweeps must reproduce *that backend's*
+//! uncached sweep bit for bit.
 //!
 //! The driver is [`run_case`]; the `check-chaos` binary loops it over a
 //! fixed-seed prefix plus a time-boxed randomized tail, and the
@@ -40,7 +39,7 @@
 
 use crate::scenario::{Scenario, ScenarioStrategy};
 use crate::strategy::Strategy;
-use bevra_core::DiscreteModel;
+use bevra_core::{DiscreteModel, PiEval};
 use bevra_engine::{CacheMode, CheckedSweep, PersistentCache, PointOutcome, SweepEngine};
 use bevra_faults::{install, FaultKind, FaultPlan, FaultRule, PANIC_MARKER};
 use bevra_report::persist::{load_figure, save_figure};
@@ -320,15 +319,14 @@ pub fn run_case(case_seed: u64) -> Result<ChaosStats, String> {
     stats.failed += checked.health.failed;
     stats.degraded += checked.health.degraded;
 
-    // Invariants 1 + 2 + 6, per registered backend. Every backend's
-    // checked sweep must complete with exact accounting, and for every
-    // grid-priming backend the persistent value-table cache must be
-    // transparent under the active plan: injection decisions are pure
-    // functions of (plan seed, site, key), so a cold cached sweep
-    // (compute + store, possibly fault-blocked) and a warm cached sweep
-    // (load, possibly degraded to recompute) must both reproduce that
-    // same backend's uncached sweep bit for bit.
-    for kernel in bevra_engine::registry::backends() {
+    // Invariants 1 + 2 + 6, per backend. Every backend's checked sweep
+    // must complete with exact accounting, and the persistent value-table
+    // cache must be transparent under the active plan: injection
+    // decisions are pure functions of (plan seed, site, key), so a cold
+    // cached sweep (compute + store, possibly fault-blocked) and a warm
+    // cached sweep (load, possibly degraded to recompute) must both
+    // reproduce that same backend's uncached sweep bit for bit.
+    for kernel in PiEval::ALL {
         let cap = kernel.capability();
         let uncached = SweepEngine::new(DiscreteModel::new(load.clone(), Arc::clone(&utility)))
             .with_kernel(kernel);
@@ -343,9 +341,6 @@ pub fn run_case(case_seed: u64) -> Result<ChaosStats, String> {
         stats.points += base.health.total();
         stats.failed += base.health.failed;
         stats.degraded += base.health.degraded;
-        if !cap.grid_priming {
-            continue;
-        }
         let cache_dir = std::env::temp_dir()
             .join(format!("bevra-chaos-cache-{case_seed}-{}", cap.name));
         let _ = std::fs::remove_dir_all(&cache_dir);

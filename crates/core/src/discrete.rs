@@ -73,22 +73,6 @@ impl<U: Utility> DiscreteModel<U> {
         self.load.mean()
     }
 
-    /// Borrowed type-erased view of this model, for the object-safe
-    /// [`crate::kernel::Kernel`] backends.
-    ///
-    /// The load table is shared (`Arc` clone, no copy) and the utility is
-    /// borrowed as `&dyn Utility`, so the view evaluates **bitwise
-    /// identically** to `self`: dynamic dispatch selects the same method
-    /// bodies the monomorphized path inlines, and Rust carries no
-    /// fast-math semantics that could re-associate the arithmetic.
-    pub fn as_dyn(&self) -> DiscreteModel<&dyn Utility> {
-        DiscreteModel {
-            load: Arc::clone(&self.load),
-            utility: &self.utility,
-            k_max_override: self.k_max_override,
-        }
-    }
-
     /// Admission threshold `k_max(C) = argmax_k k·π(C/k)`.
     ///
     /// `None` means "no finite maximizer": the utility is elastic (or the

@@ -108,26 +108,6 @@ pub fn k_max_grid<U: Utility>(
     k_max_grid_inner(model, capacities, |k| k, PiEval::Exact)
 }
 
-/// [`k_max_grid`] with an explicit `π` evaluation mode.
-///
-/// [`PiEval::Exact`] and [`PiEval::Fast`] both search over the scalar
-/// `V(k) = k·π(C/k)` (the fast π is slice-based and never feeds the
-/// argmax, so the thresholds are bitwise the scalar ones);
-/// [`PiEval::Portable`] searches over `k·value_portable(C/k)`, which can
-/// differ from the scalar threshold only on value plateaus where the two
-/// `π` variants break an exact tie differently.
-///
-/// # Panics
-///
-/// Panics if `capacities` is not sorted ascending or contains NaN.
-pub fn k_max_grid_pi<U: Utility>(
-    model: &DiscreteModel<U>,
-    capacities: &[f64],
-    mode: PiEval,
-) -> Vec<Option<u64>> {
-    k_max_grid_inner(model, capacities, |k| k, mode)
-}
-
 /// [`k_max_grid`] with an injectable carry perturbation.
 ///
 /// The mutation tests use this to prove the carried bracket actually
@@ -182,44 +162,6 @@ fn k_max_grid_inner<U: Utility>(
         out.push(km);
     }
     out
-}
-
-/// Batched [`DiscreteModel::best_effort`] over a sorted capacity grid.
-///
-/// One loop-interchanged pass over the load table computes `B(C)` for every
-/// capacity; [`PiEval::Exact`] is bitwise identical to the scalar path
-/// (including its fault-injection site `eval/best_effort`).
-///
-/// # Panics
-///
-/// Panics if `capacities` is not sorted ascending or contains NaN.
-pub fn best_effort_grid<U: Utility>(
-    model: &DiscreteModel<U>,
-    capacities: &[f64],
-    mode: PiEval,
-) -> Vec<f64> {
-    assert_sorted(capacities);
-    // B alone is the fused pass with no reservation heads.
-    let no_heads = vec![0u64; capacities.len()];
-    let raw = match mode {
-        PiEval::Exact => fused_grid_pointwise(model, capacities, &no_heads, U::value_slice).0,
-        PiEval::Fast => best_effort_grid_fast(model, capacities),
-        PiEval::Portable => {
-            fused_grid_pointwise(model, capacities, &no_heads, value_portable_slice).0
-        }
-    };
-    capacities
-        .iter()
-        .zip(raw)
-        .map(|(&c, v)| {
-            if c <= 0.0 {
-                // Scalar path returns before reaching its fault site.
-                0.0
-            } else {
-                bevra_faults::corrupt_f64("eval/best_effort", c.to_bits(), v)
-            }
-        })
-        .collect()
 }
 
 /// [`Utility::value_portable`] over a bandwidth slice — the portable
@@ -332,148 +274,45 @@ fn best_effort_grid_fast<U: Utility>(model: &DiscreteModel<U>, capacities: &[f64
     (0..g).map(|i| (sums[i] + comps[i]) / kbar).collect()
 }
 
-/// Batched [`DiscreteModel::reservation_with_kmax`] over a sorted grid.
-///
-/// `k_maxes[i]` must be what [`DiscreteModel::k_max`] returns for
-/// `capacities[i]` (use [`k_max_grid`]); `best_efforts[i]` must be the
-/// already-instrumented best-effort values (use [`best_effort_grid`]) —
-/// elastic lanes (`k_max = None`) reuse them, mirroring the scalar
-/// delegation `R(C) = B(C)`. Evaluates `π` exactly — the admitted head is
-/// O(k_max) per lane, far too short for vectorization to matter; use
-/// [`reservation_grid_pi`] to select the portable `π` instead.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ, or if `capacities` is not sorted
-/// ascending or contains NaN.
-pub fn reservation_grid<U: Utility>(
+/// Reservation-head accumulators `Σ_{k ≤ cap_k[i]} P(k)·k·π(C_i/k)` with
+/// the scalar [`Utility::value`] — the fast path's heads for utilities
+/// without a k-span kernel (the fast π never feeds `R`). Same per-lane
+/// [`NeumaierSum`] order as the pointwise fused kernel's heads.
+fn reservation_heads<U: Utility>(
     model: &DiscreteModel<U>,
     capacities: &[f64],
-    k_maxes: &[Option<u64>],
-    best_efforts: &[f64],
-) -> Vec<f64> {
-    reservation_grid_pi(model, capacities, k_maxes, best_efforts, PiEval::Exact)
-}
-
-/// [`reservation_grid`] with an explicit `π` evaluation mode.
-///
-/// [`PiEval::Exact`] and [`PiEval::Fast`] both evaluate the admitted head
-/// with the scalar [`Utility::value`] (the fast π is slice-based and
-/// never feeds `R`, so fast-mode reservations are bitwise the scalar
-/// ones); [`PiEval::Portable`] uses [`Utility::value_portable`]
-/// throughout.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ, or if `capacities` is not sorted
-/// ascending or contains NaN.
-pub fn reservation_grid_pi<U: Utility>(
-    model: &DiscreteModel<U>,
-    capacities: &[f64],
-    k_maxes: &[Option<u64>],
-    best_efforts: &[f64],
-    mode: PiEval,
-) -> Vec<f64> {
-    assert_sorted(capacities);
-    let pi_of = |u: &U, b: f64| match mode {
-        PiEval::Exact | PiEval::Fast => u.value(b),
-        PiEval::Portable => u.value_portable(b),
-    };
-    assert_eq!(capacities.len(), k_maxes.len(), "k_max table length mismatch");
-    assert_eq!(capacities.len(), best_efforts.len(), "best-effort table length mismatch");
+    cap_k: &[u64],
+) -> Vec<NeumaierSum> {
     let load = model.load();
     let u = model.utility();
-    let kbar = load.mean();
-    let g = capacities.len();
-    let len_m1 = load.len() as u64 - 1;
-
-    // Lanes with a finite positive threshold sum an admitted head of the
-    // table; everything else short-circuits exactly like the scalar path.
-    let mut acc = vec![NeumaierSum::new(); g];
-    let mut cap_k = vec![0u64; g];
-    let mut max_cap_k = 0u64;
-    for i in 0..g {
-        if capacities[i] > 0.0 {
-            if let Some(m) = k_maxes[i] {
-                if m > 0 {
-                    cap_k[i] = m.min(len_m1);
-                    max_cap_k = max_cap_k.max(cap_k[i]);
-                }
-            }
-        }
-    }
-
+    let mut acc = vec![NeumaierSum::new(); capacities.len()];
+    let max_cap_k = cap_k.iter().copied().max().unwrap_or(0);
     for k in 1..=max_cap_k {
         let p = load.pmf(k);
         let kf = k as f64;
-        for i in 0..g {
+        for (i, &c) in capacities.iter().enumerate() {
             if k <= cap_k[i] && p > 0.0 {
-                acc[i].add(p * kf * pi_of(u, capacities[i] / kf));
+                acc[i].add(p * kf * u.value(c / kf));
             }
         }
     }
-
-    (0..g)
-        .map(|i| {
-            let c = capacities[i];
-            let raw = if c <= 0.0 {
-                0.0
-            } else {
-                match k_maxes[i] {
-                    // Elastic: the architectures coincide; reuse the
-                    // (already fault-wrapped) best-effort value, exactly as
-                    // the scalar path delegates to `best_effort`.
-                    None => best_efforts[i],
-                    Some(0) => 0.0,
-                    Some(m) => {
-                        let overload_mass = load.tail_mass_above(cap_k[i]);
-                        if overload_mass > 0.0 {
-                            acc[i].add(m as f64 * pi_of(u, c / m as f64) * overload_mass);
-                        }
-                        acc[i].total() / kbar
-                    }
-                }
-            };
-            // The scalar `reservation_with_kmax` wraps unconditionally.
-            bevra_faults::corrupt_f64("eval/reservation", c.to_bits(), raw)
-        })
-        .collect()
-}
-
-/// Full batched sweep: `k_max`, `B`, and `R` for every capacity in one
-/// table pass plus an O(Σ k_max) head pass.
-///
-/// Equivalent to calling [`DiscreteModel::k_max`],
-/// [`DiscreteModel::best_effort`], and [`DiscreteModel::reservation`] per
-/// point — bitwise so under [`PiEval::Exact`].
-///
-/// # Panics
-///
-/// Panics if `capacities` is not sorted ascending or contains NaN.
-pub fn sweep_grid<U: Utility>(
-    model: &DiscreteModel<U>,
-    capacities: &[f64],
-    mode: PiEval,
-) -> GridSweep {
-    let k_max = k_max_grid_pi(model, capacities, mode);
-    let best_effort = best_effort_grid(model, capacities, mode);
-    let reservation = reservation_grid_pi(model, capacities, &k_max, &best_effort, mode);
-    GridSweep { k_max, best_effort, reservation }
+    acc
 }
 
 /// Fused B+R sweep: one table traversal serves both architectures.
 ///
-/// The reservation head `Σ_{k ≤ k_max} P(k)·k·π(C/k)` is a **prefix of the
-/// best-effort series** — the same terms, in the same order. The unfused
-/// composition ([`sweep_grid`]) nonetheless walks the admitted head a second
-/// time; this kernel evaluates each `(k, C)` pair once and feeds both
-/// accumulators:
+/// `k_max`, `B`, and `R` for every capacity. The reservation head
+/// `Σ_{k ≤ k_max} P(k)·k·π(C/k)` is a **prefix of the best-effort series**
+/// — the same terms, in the same order — so this kernel evaluates each
+/// `(k, C)` pair once and feeds both accumulators. This is the one grid
+/// entry point every engine backend runs, parameterized by its [`PiEval`]:
 ///
 /// * [`PiEval::Exact`] / [`PiEval::Portable`] — a pointwise fused loop that
-///   mirrors the unfused pair op for op (same `π` calls, same
+///   mirrors the per-point path op for op (same `π` values, same
 ///   [`NeumaierSum`] order per accumulator, same early-exit and fault
-///   wrapping): results are **bitwise identical** to [`sweep_grid`] in the
-///   same mode, so pinned digests and the golden corpus are unaffected.
+///   wrapping): under `Exact` results are **bitwise identical** to
+///   [`DiscreteModel::k_max`] / [`DiscreteModel::best_effort`] /
+///   [`DiscreteModel::reservation`] called point by point.
 /// * [`PiEval::Fast`] — if the utility implements
 ///   [`Utility::accumulate_pi_kspan_fast`], each capacity lane walks the
 ///   table in one vectorized k-span pass ([`bevra_num::KSPAN_ACCS`] strided
@@ -481,10 +320,9 @@ pub fn sweep_grid<U: Utility>(
 ///   denominator) with the R head taken as a **free snapshot** of the
 ///   accumulator state at `k = k_max(C)`. Deterministic and bitwise
 ///   identical across SIMD tiers, tolerance-close (≤ [`FAST_TRUNC_REL`]
-///   relative) to the scalar path — same contract as the unfused fast
-///   kernel, but *not* bitwise equal to it (different summation grouping).
-///   Utilities without the hook fall back to the unfused fast composition,
-///   bitwise that pair.
+///   relative) to the scalar path. Utilities without the hook walk the
+///   table once for `B` with the packed polynomial π and sum their short
+///   admitted heads with the scalar π (the fast π never feeds `R`).
 ///
 /// # Panics
 ///
@@ -520,15 +358,15 @@ fn sweep_grid_fused_inner<U: Utility>(
     nudge: impl Fn(u64) -> u64,
 ) -> GridSweep {
     assert_sorted(capacities);
-    let k_max = k_max_grid_pi(model, capacities, mode);
+    let k_max = k_max_grid_inner(model, capacities, |k| k, mode);
     let load = model.load();
     let u = model.utility();
     let kbar = load.mean();
     let g = capacities.len();
     let len_m1 = load.len() as u64 - 1;
 
-    // Admitted-head lengths, clamped to the table exactly like
-    // `reservation_grid_pi`.
+    // Admitted-head lengths, clamped to the table (a threshold past the
+    // last entry admits the whole table).
     let mut cap_k = vec![0u64; g];
     for i in 0..g {
         if capacities[i] > 0.0 {
@@ -542,7 +380,7 @@ fn sweep_grid_fused_inner<U: Utility>(
 
     enum Heads {
         /// Per-lane Neumaier accumulators, finalized exactly like the
-        /// unfused reservation kernel (bitwise modes).
+        /// per-point `reservation_with_kmax`.
         Pointwise(Vec<NeumaierSum>),
         /// Per-lane snapshot totals from the k-span walk (fast mode).
         Snapshot(Vec<f64>),
@@ -566,19 +404,15 @@ fn sweep_grid_fused_inner<U: Utility>(
                 let (b, r) = fused_grid_kspan(model, capacities, &cap_k, &nudge);
                 (b, Heads::Snapshot(r))
             } else {
-                // No k-span kernel for this family: the unfused fast
-                // composition is already the best available pass, and
-                // reusing it keeps the results bitwise that pair.
-                let best_effort = best_effort_grid(model, capacities, PiEval::Fast);
-                let reservation =
-                    reservation_grid_pi(model, capacities, &k_max, &best_effort, PiEval::Fast);
-                return GridSweep { k_max, best_effort, reservation };
+                let heads = reservation_heads(model, capacities, &cap_k);
+                (best_effort_grid_fast(model, capacities), Heads::Pointwise(heads))
             }
         }
     };
 
-    // Finalize B then R, in lane order — the same fault-wrapping order as
-    // the unfused composition, so `@at=N` fault ordinals line up.
+    // Finalize B then R, in lane order — every `eval/best_effort` wrap,
+    // then every `eval/reservation` wrap, whatever the mode, so `@at=N`
+    // fault ordinals are backend-independent.
     let best_effort: Vec<f64> = capacities
         .iter()
         .zip(best_raw)
@@ -613,7 +447,7 @@ fn sweep_grid_fused_inner<U: Utility>(
                             0.0
                         };
                         match &mut heads {
-                            // Mirror `reservation_grid_pi`: conditional
+                            // Mirror `reservation_with_kmax`: conditional
                             // `add` then `total`, bit for bit.
                             Heads::Pointwise(accs) => {
                                 if overload_mass > 0.0 {
@@ -637,7 +471,8 @@ fn sweep_grid_fused_inner<U: Utility>(
 /// per `(k, lane)` feeds both the best-effort accumulator (with the scalar
 /// path's early-exit frontier) and the reservation-head accumulator (for
 /// `k ≤ k_max(C)`). `π` is pure, so sharing the evaluation leaves every
-/// accumulated bit identical to the unfused pair.
+/// accumulated bit identical to the per-point path's separate B and R
+/// walks.
 ///
 /// Each `k` runs in three passes over the live lane window: bandwidths
 /// `C/k` (pure IEEE division, vectorized), one `pi_slice` call (bitwise
@@ -789,7 +624,7 @@ fn fused_grid_kspan<U: Utility>(
             k = stop;
             total = kspan_total(&sums, &comps);
             if k < len {
-                // Same bound as the unfused kernels: remaining terms are
+                // Same bound as the pointwise kernels: remaining terms are
                 // ≤ π(C/k)·Σ_{k'≥k} k'·P(k'), probed at block boundaries
                 // only. Scalar π here — the bound is tolerance arithmetic,
                 // not part of the accumulated value.
@@ -812,80 +647,102 @@ mod tests {
     use bevra_utility::{AdaptiveExp, ExponentialElastic, Rigid};
     use std::sync::Arc;
 
+    fn poisson() -> Arc<Tabulated> {
+        Arc::new(Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 12))
+    }
+
     fn model_rigid() -> DiscreteModel<Rigid> {
-        let load = Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 12);
-        DiscreteModel::new(load, Rigid::unit())
+        DiscreteModel::new(poisson(), Rigid::unit())
+    }
+
+    fn model_adaptive() -> DiscreteModel<AdaptiveExp> {
+        DiscreteModel::new(poisson(), AdaptiveExp::paper())
+    }
+
+    fn assert_within(name: &str, c: f64, got: f64, want: f64) {
+        assert!(
+            (got - want).abs() <= 1e-13 * want.abs().max(1e-300),
+            "C={c}: {name} {got:e} vs scalar {want:e}"
+        );
     }
 
     #[test]
     fn exact_sweep_is_bitwise_equal_to_scalar() {
-        let m = model_rigid();
         let caps = [-1.0, 0.0, 0.5, 2.0, 5.0, 10.0, 15.0, 20.0, 40.0, 80.0];
-        let got = sweep_grid(&m, &caps, PiEval::Exact);
-        for (i, &c) in caps.iter().enumerate() {
-            assert_eq!(got.k_max[i], m.k_max(c), "k_max C={c}");
-            assert_eq!(
-                got.best_effort[i].to_bits(),
-                m.best_effort(c).to_bits(),
-                "B C={c}"
-            );
-            assert_eq!(
-                got.reservation[i].to_bits(),
-                m.reservation(c).to_bits(),
-                "R C={c}"
-            );
+        fn check<U: Utility>(m: &DiscreteModel<U>, caps: &[f64]) {
+            let got = sweep_grid_fused(m, caps, PiEval::Exact);
+            for (i, &c) in caps.iter().enumerate() {
+                assert_eq!(got.k_max[i], m.k_max(c), "k_max C={c}");
+                assert_eq!(got.best_effort[i].to_bits(), m.best_effort(c).to_bits(), "B C={c}");
+                assert_eq!(got.reservation[i].to_bits(), m.reservation(c).to_bits(), "R C={c}");
+            }
         }
+        check(&model_rigid(), &caps);
+        check(&model_adaptive(), &caps);
     }
 
     #[test]
-    fn exact_sweep_mirrors_elastic_delegation() {
-        let load = Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 12);
-        let m = DiscreteModel::new(load, ExponentialElastic::default());
+    fn exact_sweep_mirrors_elastic_delegation_and_cap_override() {
         let caps = [1.0, 5.0, 20.0, 60.0];
-        let got = sweep_grid(&m, &caps, PiEval::Exact);
+        let elastic = DiscreteModel::new(poisson(), ExponentialElastic::default());
+        let got = sweep_grid_fused(&elastic, &caps, PiEval::Exact);
         for (i, &c) in caps.iter().enumerate() {
             assert_eq!(got.k_max[i], None);
-            assert_eq!(got.reservation[i].to_bits(), m.reservation(c).to_bits());
+            assert_eq!(got.reservation[i].to_bits(), elastic.reservation(c).to_bits());
+            assert_eq!(got.reservation[i].to_bits(), got.best_effort[i].to_bits());
+        }
+        let capped = model_adaptive().with_admission_cap(7);
+        let got = sweep_grid_fused(&capped, &caps, PiEval::Exact);
+        for (i, &c) in caps.iter().enumerate() {
+            assert_eq!(got.k_max[i], Some(7));
+            assert_eq!(got.reservation[i].to_bits(), capped.reservation(c).to_bits());
         }
     }
 
     #[test]
-    fn fast_sweep_is_ulp_close() {
-        let load = Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 12);
-        let m = DiscreteModel::new(load, AdaptiveExp::paper());
+    fn fast_kspan_sweep_within_budget_and_deterministic() {
+        let m = model_adaptive();
         let caps = [0.5, 2.0, 5.0, 10.0, 20.0, 40.0];
-        let got = sweep_grid(&m, &caps, PiEval::Fast);
+        let got = sweep_grid_fused(&m, &caps, PiEval::Fast);
         for (i, &c) in caps.iter().enumerate() {
-            let b = m.best_effort(c);
-            let diff = (got.best_effort[i] - b).abs();
-            assert!(
-                diff <= 1e-13 * b.abs().max(1e-300),
-                "C={c}: fast {0:e} vs scalar {b:e}",
-                got.best_effort[i]
-            );
+            assert_within("fast B", c, got.best_effort[i], m.best_effort(c));
+            assert_within("fast R", c, got.reservation[i], m.reservation(c));
+        }
+        let again = sweep_grid_fused(&m, &caps, PiEval::Fast);
+        assert_eq!(got, again, "fast sweep must be reproducible bit for bit");
+    }
+
+    #[test]
+    fn fast_fallback_keeps_thresholds_and_heads_scalar() {
+        // Rigid and elastic have no k-span kernel: B takes the packed π,
+        // while k_max and the admitted heads stay on the scalar π.
+        let caps = [0.5, 2.0, 5.0, 10.0, 20.0, 40.0];
+        let m = model_rigid();
+        let got = sweep_grid_fused(&m, &caps, PiEval::Fast);
+        for (i, &c) in caps.iter().enumerate() {
+            assert_eq!(got.k_max[i], m.k_max(c), "k_max C={c}");
+            assert_within("fast B", c, got.best_effort[i], m.best_effort(c));
+            assert_eq!(got.reservation[i].to_bits(), m.reservation(c).to_bits(), "R C={c}");
+        }
+        let e = DiscreteModel::new(poisson(), ExponentialElastic::default());
+        let got = sweep_grid_fused(&e, &caps, PiEval::Fast);
+        for (i, &c) in caps.iter().enumerate() {
+            assert_within("fast B", c, got.best_effort[i], e.best_effort(c));
+            assert_eq!(got.reservation[i].to_bits(), got.best_effort[i].to_bits());
         }
     }
 
     #[test]
     fn portable_sweep_is_tolerance_close_to_scalar() {
-        let load = Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 12);
-        let m = DiscreteModel::new(load, AdaptiveExp::paper());
+        let m = model_adaptive();
         let caps = [0.5, 2.0, 5.0, 10.0, 20.0, 40.0];
-        let got = sweep_grid(&m, &caps, PiEval::Portable);
+        let got = sweep_grid_fused(&m, &caps, PiEval::Portable);
         for (i, &c) in caps.iter().enumerate() {
-            for (name, v, want) in [
-                ("B", got.best_effort[i], m.best_effort(c)),
-                ("R", got.reservation[i], m.reservation(c)),
-            ] {
-                assert!(
-                    (v - want).abs() <= 1e-13 * want.abs().max(1e-300),
-                    "C={c}: portable {name} {v:e} vs scalar {want:e}"
-                );
-            }
+            assert_within("portable B", c, got.best_effort[i], m.best_effort(c));
+            assert_within("portable R", c, got.reservation[i], m.reservation(c));
         }
         // And the portable sweep is self-reproducible bit for bit.
-        let again = sweep_grid(&m, &caps, PiEval::Portable);
-        assert_eq!(got, again);
+        assert_eq!(got, sweep_grid_fused(&m, &caps, PiEval::Portable));
     }
 
     #[test]
@@ -894,8 +751,8 @@ mod tests {
         // `value`, so the portable mode must be bitwise the exact mode.
         let m = model_rigid();
         let caps = [0.5, 2.0, 5.0, 10.0, 20.0, 40.0];
-        let exact = sweep_grid(&m, &caps, PiEval::Exact);
-        let portable = sweep_grid(&m, &caps, PiEval::Portable);
+        let exact = sweep_grid_fused(&m, &caps, PiEval::Exact);
+        let portable = sweep_grid_fused(&m, &caps, PiEval::Portable);
         assert_eq!(exact.k_max, portable.k_max);
         for i in 0..caps.len() {
             assert_eq!(exact.best_effort[i].to_bits(), portable.best_effort[i].to_bits());
@@ -904,104 +761,18 @@ mod tests {
     }
 
     #[test]
-    fn admission_cap_override_is_mirrored() {
-        let load = Arc::new(Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 12));
-        let m = DiscreteModel::new(Arc::clone(&load), AdaptiveExp::paper()).with_admission_cap(7);
-        let caps = [1.0, 10.0, 30.0];
-        let got = sweep_grid(&m, &caps, PiEval::Exact);
-        for (i, &c) in caps.iter().enumerate() {
-            assert_eq!(got.k_max[i], Some(7));
-            assert_eq!(got.reservation[i].to_bits(), m.reservation(c).to_bits());
-        }
-    }
-
-    #[test]
-    fn fused_exact_is_bitwise_equal_to_unfused() {
-        let caps = [-1.0, 0.0, 0.5, 2.0, 5.0, 10.0, 15.0, 20.0, 40.0, 80.0];
-        let load = Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 12);
-        let rigid = model_rigid();
-        let adaptive = DiscreteModel::new(load, AdaptiveExp::paper());
-        for mode in [PiEval::Exact, PiEval::Portable] {
-            let a = sweep_grid(&rigid, &caps, mode);
-            let b = sweep_grid_fused(&rigid, &caps, mode);
-            assert_eq!(a, b, "rigid {mode:?}");
-            let a = sweep_grid(&adaptive, &caps, mode);
-            let b = sweep_grid_fused(&adaptive, &caps, mode);
-            assert_eq!(a.k_max, b.k_max, "adaptive {mode:?}");
-            for i in 0..caps.len() {
-                assert_eq!(a.best_effort[i].to_bits(), b.best_effort[i].to_bits());
-                assert_eq!(a.reservation[i].to_bits(), b.reservation[i].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn fused_exact_mirrors_cap_override_and_elastic() {
-        let load = Arc::new(Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 12));
-        let caps = [1.0, 10.0, 30.0];
-        let capped =
-            DiscreteModel::new(Arc::clone(&load), AdaptiveExp::paper()).with_admission_cap(7);
-        assert_eq!(sweep_grid(&capped, &caps, PiEval::Exact), sweep_grid_fused(&capped, &caps, PiEval::Exact));
-        let elastic = DiscreteModel::new(Arc::clone(&load), ExponentialElastic::default());
-        let got = sweep_grid_fused(&elastic, &caps, PiEval::Exact);
-        assert_eq!(sweep_grid(&elastic, &caps, PiEval::Exact), got);
-        for i in 0..caps.len() {
-            assert_eq!(got.k_max[i], None);
-            assert_eq!(got.reservation[i].to_bits(), got.best_effort[i].to_bits());
-        }
-    }
-
-    #[test]
-    fn fused_fast_kspan_within_budget_and_deterministic() {
-        let load = Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 12);
-        let m = DiscreteModel::new(load, AdaptiveExp::paper());
-        let caps = [0.5, 2.0, 5.0, 10.0, 20.0, 40.0];
-        let got = sweep_grid_fused(&m, &caps, PiEval::Fast);
-        for (i, &c) in caps.iter().enumerate() {
-            for (name, v, want) in [
-                ("B", got.best_effort[i], m.best_effort(c)),
-                ("R", got.reservation[i], m.reservation(c)),
-            ] {
-                assert!(
-                    (v - want).abs() <= 1e-13 * want.abs().max(1e-300),
-                    "C={c}: fused-fast {name} {v:e} vs scalar {want:e}"
-                );
-            }
-        }
-        let again = sweep_grid_fused(&m, &caps, PiEval::Fast);
-        assert_eq!(got, again, "fast fused sweep must be reproducible bit for bit");
-    }
-
-    #[test]
-    fn fused_fast_falls_back_bitwise_for_non_kspan_families() {
-        // Rigid and elastic have no k-span kernel: the fused entry point
-        // must degrade to exactly the unfused fast composition.
-        let caps = [0.5, 2.0, 5.0, 10.0, 20.0, 40.0];
-        let m = model_rigid();
-        assert_eq!(sweep_grid(&m, &caps, PiEval::Fast), sweep_grid_fused(&m, &caps, PiEval::Fast));
-        let load = Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 12);
-        let e = DiscreteModel::new(load, ExponentialElastic::default());
-        assert_eq!(sweep_grid(&e, &caps, PiEval::Fast), sweep_grid_fused(&e, &caps, PiEval::Fast));
-    }
-
-    #[test]
     fn fused_split_nudge_corrupts_reservations() {
         // The mutation hook: shifting the R/B span split off k_max(C) must
         // be detectable — it folds admitted-head terms into the wrong side
         // of the snapshot. Guards against the snapshot silently drifting.
-        let load = Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 12);
-        let m = DiscreteModel::new(load, AdaptiveExp::paper());
+        let m = model_adaptive();
         let caps = [5.0, 10.0, 20.0];
         let clean = sweep_grid_fused(&m, &caps, PiEval::Fast);
         let nudged = sweep_grid_fused_with_split_nudge(&m, &caps, PiEval::Fast, |k| k + 8);
         // B sums the full series either way: moving the split only regroups
         // the sub-accumulators, so it must stay inside the fast budget…
         for (i, &c) in caps.iter().enumerate() {
-            let want = m.best_effort(c);
-            assert!(
-                (nudged.best_effort[i] - want).abs() <= 1e-13 * want.abs().max(1e-300),
-                "C={c}: nudged B left the budget"
-            );
+            assert_within("nudged B", c, nudged.best_effort[i], m.best_effort(c));
         }
         // …while R, whose head is the snapshot at the split, must break.
         assert!(
@@ -1017,14 +788,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "sorted ascending")]
     fn unsorted_grid_rejected() {
-        let m = model_rigid();
-        let _ = sweep_grid(&m, &[5.0, 2.0], PiEval::Exact);
+        let _ = sweep_grid_fused(&model_rigid(), &[5.0, 2.0], PiEval::Exact);
     }
 
     #[test]
     #[should_panic(expected = "must not contain NaN")]
     fn nan_grid_rejected() {
-        let m = model_rigid();
-        let _ = sweep_grid(&m, &[f64::NAN], PiEval::Exact);
+        let _ = sweep_grid_fused(&model_rigid(), &[f64::NAN], PiEval::Exact);
     }
 }

@@ -1,69 +1,45 @@
-//! The [`Kernel`] trait: pluggable welfare-evaluation backends.
+//! Kernel backends: the closed set of ways the engine evaluates the
+//! discrete model's grid primitives.
 //!
-//! PR 5 grew three evaluation paths for the discrete model — the scalar
-//! per-point path, the grid-batched exact kernel, and the vectorized fast
-//! kernel — selected by an env-var `match` buried in the sweep engine.
-//! This module lifts that choice into a first-class, object-safe trait:
-//! a backend is a `&'static dyn Kernel` that evaluates the three grid
-//! primitives (`k_max`, `B`, `R`) over a sorted capacity grid and
-//! self-reports a [`KernelCapability`] record describing *how* it
-//! evaluates them — its parity class against the scalar reference, its
-//! SIMD level, which fault-injection sites cover it, and the tag that
-//! keys the persistent cache.
-//!
-//! The capability record is what makes backends safely pluggable:
+//! Every backend runs the same fused B+R traversal
+//! ([`crate::discrete_batch::sweep_grid_fused`]) and differs only in how it
+//! evaluates `π`, so a backend *is* a [`PiEval`] value. This module gives
+//! each one its self-reported [`KernelCapability`] record describing how
+//! it evaluates — its parity class against the per-point reference, its
+//! SIMD level, and the tag that keys the persistent cache:
 //!
 //! * the engine refuses to mix cached artifacts across backends whose
 //!   results may differ ([`KernelCapability::cache_tag`], the parity
 //!   class, and the portability flag flow into the persistent-cache key);
 //! * the parity suite (`tests/batch_parity.rs`) and the chaos harness
-//!   enumerate the registry (`bevra_engine::registry`) and derive the
-//!   right assertion per backend from [`KernelCapability::parity`] — a
-//!   new backend gets parity and fault coverage without new test code;
+//!   enumerate [`PiEval::ALL`] and derive the right assertion per backend
+//!   from [`KernelCapability::parity`];
 //! * the `SweepHealth` ledger and the observability metrics record which
 //!   backend produced a sweep.
 //!
-//! Four built-in backends are provided (see [`scalar`], [`batch`],
-//! [`fast`], [`portable`]):
-//!
-//! | backend | parity | π evaluation | grid-primes? |
+//! | `BEVRA_KERNEL` | enum | parity | π evaluation |
 //! |---|---|---|---|
-//! | `scalar` | bitwise | libm, per point | no |
-//! | `batch` | bitwise | libm, loop-interchanged | yes |
-//! | `fast` | ≤ 1e-13 rel | packed polynomial (B only) | yes |
-//! | `deterministic-portable` | ≤ 1e-13 rel | scalar polynomial, everywhere | yes |
+//! | `batch` (default) | [`PiEval::Exact`] | bitwise | libm, blocked per `k` |
+//! | `fast` | [`PiEval::Fast`] | ≤ 1e-13 rel | packed polynomial (B only) |
+//! | `deterministic-portable` | [`PiEval::Portable`] | ≤ 1e-13 rel | scalar polynomial |
 //!
 //! The `deterministic-portable` backend evaluates **every** π through
-//! [`Utility::value_portable`] — the branch-free polynomial
+//! [`bevra_utility::Utility::value_portable`] — the branch-free polynomial
 //! `1 − e^{−x}` with integer-scaled exponent rounding
 //! (`bevra_num::one_minus_exp_neg`), no libm anywhere — so its results
 //! are bit-identical across operating systems, libm versions, and CPU
-//! architectures. It exists to retire the libm-ULP drift that made
-//! pinned golden artifacts environment-sensitive (noted when the golden
-//! corpus landed): portable artifacts can be pinned by digest.
+//! architectures, and portable artifacts can be pinned by digest.
 
-use crate::discrete::DiscreteModel;
-use crate::discrete_batch::{
-    best_effort_grid, k_max_grid_pi, reservation_grid_pi, sweep_grid_fused, GridSweep, PiEval,
-    FAST_TRUNC_REL,
-};
-use bevra_utility::Utility;
+use crate::discrete_batch::{PiEval, FAST_TRUNC_REL};
 
-/// Borrowed type-erased model view every [`Kernel`] entry point takes.
-///
-/// Built with [`DiscreteModel::as_dyn`]; evaluates bitwise identically to
-/// the monomorphized model it views (dynamic dispatch selects the same
-/// method bodies, and Rust has no fast-math re-association).
-pub type DynModel<'a> = DiscreteModel<&'a dyn Utility>;
-
-/// How close a backend's results are to the scalar reference path.
+/// How close a backend's results are to the per-point reference path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ParityClass {
-    /// Bit-for-bit identical to [`DiscreteModel::k_max`] /
-    /// [`DiscreteModel::best_effort`] / [`DiscreteModel::reservation`]
-    /// called point by point.
+    /// Bit-for-bit identical to [`crate::DiscreteModel::k_max`] /
+    /// [`crate::DiscreteModel::best_effort`] /
+    /// [`crate::DiscreteModel::reservation`] called point by point.
     Bitwise,
-    /// `B` and `R` within the given **relative** tolerance of the scalar
+    /// `B` and `R` within the given **relative** tolerance of the per-point
     /// path; `k_max` may differ only where the value curve `k·π(C/k)` is
     /// flat to within the same tolerance (a tie between thresholds, so
     /// the induced `R` difference is itself inside the budget). Results
@@ -104,8 +80,8 @@ impl SimdLevel {
 
 /// Map the numeric substrate's resolved dispatch tier
 /// ([`bevra_num::simd::level`], honoring `BEVRA_SIMD`) onto the kernel
-/// vocabulary. Used by backends whose hot loops run the dispatched
-/// kernels, so their capability record reflects what actually executes.
+/// vocabulary, so the fast backend's capability record reflects what
+/// actually executes.
 #[must_use]
 pub fn resolved_simd_level() -> SimdLevel {
     match bevra_num::simd::level() {
@@ -117,19 +93,17 @@ pub fn resolved_simd_level() -> SimdLevel {
 }
 
 /// Self-reported description of a backend, consumed by the engine, the
-/// persistent cache, the health ledger, and the auto-enumerating test
-/// suites.
+/// persistent cache, the health ledger, and the enumerating test suites.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelCapability {
-    /// Unique stable name; the registry rejects duplicates, `BEVRA_KERNEL`
-    /// selects by it, and the health ledger and metrics record it. It is
-    /// deliberately *not* hashed into the persistent-cache key — bitwise
-    /// twins (scalar/batch) share entries via a shared [`cache_tag`].
+    /// Unique stable name; `BEVRA_KERNEL` selects by it, and the health
+    /// ledger and metrics record it. It is deliberately *not* hashed into
+    /// the persistent-cache key, which [`cache_tag`] keys instead.
     ///
     /// [`cache_tag`]: KernelCapability::cache_tag
     pub name: &'static str,
-    /// Parity contract against the scalar reference path. The parity suite
-    /// derives its per-backend assertion from this.
+    /// Parity contract against the per-point reference path. The parity
+    /// suite derives its per-backend assertion from this.
     pub parity: ParityClass,
     /// SIMD engagement of the backend's hot loop (informational: SIMD
     /// dispatch never changes result bits, so it does not key the cache).
@@ -137,419 +111,51 @@ pub struct KernelCapability {
     /// Whether results are bit-identical across platforms and libm
     /// versions (true only for backends that never call libm).
     pub portable: bool,
-    /// Whether the engine's `prime()` should drive this backend over whole
-    /// grids (and persist the rows). `false` means the backend evaluates
-    /// lazily per point through the engine's memo caches — the scalar
-    /// backend's contract, which also keeps it off the persistent cache.
-    pub grid_priming: bool,
-    /// Whether [`Kernel::sweep_grid`] runs the fused B+R traversal
-    /// ([`sweep_grid_fused`]) instead of composing the three primitives —
-    /// one table pass serves both architectures. Informational for
-    /// bitwise backends (the fused exact pass is op-for-op the unfused
-    /// pair); for tolerance backends the fused fast pass regroups the
-    /// summation, so the flag pairs with a distinct [`cache_tag`].
-    ///
-    /// [`cache_tag`]: KernelCapability::cache_tag
-    pub fused: bool,
-    /// Fault-injection sites (`bevra_faults` site names) that cover this
-    /// backend's evaluations — the chaos harness asserts through these.
-    pub fault_sites: &'static [&'static str],
-    /// Persistent-cache key tag. Backends whose results are bitwise
-    /// interchangeable share a tag (scalar/batch); tolerance-class
-    /// backends get distinct tags so cached rows never cross parity
-    /// classes.
+    /// Persistent-cache key tag; each parity class has its own, so cached
+    /// rows never cross classes. The values are frozen: changing one
+    /// re-keys every stored entry (`tests/kernel_registry.rs` pins them).
     pub cache_tag: u8,
 }
 
-/// Every built-in backend evaluates π behind the fault-injection sites
-/// `eval/best_effort` and `eval/reservation` (the wrapping lives in the
-/// shared grid kernels and the scalar model methods, so it is
-/// backend-independent).
-const EVAL_SITES: &[&str] = &["eval/best_effort", "eval/reservation"];
+impl PiEval {
+    /// Every backend, default first — what the parity walls, the chaos
+    /// harness and the benches enumerate.
+    pub const ALL: [PiEval; 3] = [PiEval::Exact, PiEval::Fast, PiEval::Portable];
 
-/// An evaluation backend for the discrete model's grid primitives.
-///
-/// Object-safe by design: engines hold a `&'static dyn Kernel` and models
-/// cross the boundary as [`DynModel`] views. All entry points take a
-/// **sorted ascending, NaN-free** capacity grid (the engine sorts and
-/// dedups before calling) and mirror the corresponding scalar or batched
-/// free function.
-pub trait Kernel: Send + Sync {
-    /// The backend's self-description. Must be constant over the life of
-    /// the process: the engine hashes parts of it into persistent-cache
-    /// keys and stamps it into health ledgers.
-    fn capability(&self) -> KernelCapability;
-
-    /// Admission thresholds `k_max(C)` per capacity.
-    ///
-    /// Parity contract: equal to [`DiscreteModel::k_max`] per point for
-    /// [`ParityClass::Bitwise`] backends; for tolerance backends, may
-    /// differ only on value-curve plateaus (see [`ParityClass`]).
-    /// No fault sites — the argmax is pure integer search over π.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacities` is not sorted ascending or contains NaN
-    /// (grid-priming backends; the scalar backend accepts any grid).
-    fn k_max_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<Option<u64>>;
-
-    /// Normalized best-effort utility `B(C)` per capacity.
-    ///
-    /// Parity contract: per [`KernelCapability::parity`] against
-    /// [`DiscreteModel::best_effort`]. Every returned value passes
-    /// through the `eval/best_effort` fault site (positive capacities
-    /// only, mirroring the scalar early return at `C ≤ 0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacities` is not sorted ascending or contains NaN
-    /// (grid-priming backends; the scalar backend accepts any grid).
-    fn best_effort_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<f64>;
-
-    /// Normalized reservation utility `R(C)` per capacity, given the
-    /// backend's own `k_max_grid` and `best_effort_grid` outputs (elastic
-    /// lanes delegate `R = B`).
-    ///
-    /// Parity contract: per [`KernelCapability::parity`] against
-    /// [`DiscreteModel::reservation`]. Every returned value passes
-    /// through the `eval/reservation` fault site (unconditionally,
-    /// mirroring [`DiscreteModel::reservation_with_kmax`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ, or if `capacities` is not sorted
-    /// ascending or contains NaN (grid-priming backends).
-    fn reservation_grid(
-        &self,
-        model: &DynModel<'_>,
-        capacities: &[f64],
-        k_maxes: &[Option<u64>],
-        best_efforts: &[f64],
-    ) -> Vec<f64>;
-
-    /// Full sweep: `k_max`, `B`, and `R` for every capacity. The default
-    /// composes the three primitives in the canonical order (thresholds →
-    /// best-effort → reservations), mirroring
-    /// [`crate::discrete_batch::sweep_grid`]. Backends with
-    /// [`KernelCapability::fused`] override this with the fused B+R
-    /// traversal ([`sweep_grid_fused`]) — same parity contract, same
-    /// fault sites in the same per-lane order (all `B` wraps, then all
-    /// `R` wraps), so `@at=N` fault ordinals are backend-independent.
-    ///
-    /// # Panics
-    ///
-    /// As the three primitives.
-    fn sweep_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> GridSweep {
-        let k_max = self.k_max_grid(model, capacities);
-        let best_effort = self.best_effort_grid(model, capacities);
-        let reservation = self.reservation_grid(model, capacities, &k_max, &best_effort);
-        GridSweep { k_max, best_effort, reservation }
-    }
-
-    /// Total (unnormalized) value `V(C) = k̄·B(C)` or `k̄·R(C)` per
-    /// capacity — the quantity the engine's `value_table` prices against
-    /// capacity. `reserved` selects the architecture. Same parity
-    /// contract and fault sites as [`Kernel::sweep_grid`].
-    ///
-    /// # Panics
-    ///
-    /// As the three primitives.
-    fn value_grid(&self, model: &DynModel<'_>, capacities: &[f64], reserved: bool) -> Vec<f64> {
-        let sweep = self.sweep_grid(model, capacities);
-        let kbar = model.mean_load();
-        let per_flow = if reserved { sweep.reservation } else { sweep.best_effort };
-        per_flow.into_iter().map(|v| kbar * v).collect()
-    }
-}
-
-/// The scalar reference backend: per-point calls into the model.
-struct ScalarKernel;
-
-impl Kernel for ScalarKernel {
-    fn capability(&self) -> KernelCapability {
-        KernelCapability {
-            name: "scalar",
-            parity: ParityClass::Bitwise,
-            simd: SimdLevel::None,
-            portable: false,
-            grid_priming: false,
-            fused: false,
-            fault_sites: EVAL_SITES,
-            cache_tag: 0,
-        }
-    }
-
-    fn k_max_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<Option<u64>> {
-        capacities.iter().map(|&c| model.k_max(c)).collect()
-    }
-
-    fn best_effort_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<f64> {
-        capacities.iter().map(|&c| model.best_effort(c)).collect()
-    }
-
-    fn reservation_grid(
-        &self,
-        model: &DynModel<'_>,
-        capacities: &[f64],
-        k_maxes: &[Option<u64>],
-        _best_efforts: &[f64],
-    ) -> Vec<f64> {
-        assert_eq!(capacities.len(), k_maxes.len(), "k_max table length mismatch");
-        // The scalar path re-derives the elastic delegation internally
-        // (`reservation_with_kmax(None)` calls `best_effort`), exactly as
-        // the per-point engine does.
-        capacities
-            .iter()
-            .zip(k_maxes)
-            .map(|(&c, &km)| model.reservation_with_kmax(c, km))
-            .collect()
-    }
-}
-
-/// The grid-batched exact backend: loop-interchanged, bitwise.
-struct BatchKernel;
-
-impl Kernel for BatchKernel {
-    fn capability(&self) -> KernelCapability {
-        KernelCapability {
-            name: "batch",
-            parity: ParityClass::Bitwise,
-            simd: SimdLevel::Autovec,
-            portable: false,
-            grid_priming: true,
-            fused: true,
-            fault_sites: EVAL_SITES,
-            // Shares the scalar tag: results are bitwise interchangeable
-            // (the fused exact sweep mirrors the unfused pair op for op).
-            cache_tag: 0,
-        }
-    }
-
-    fn k_max_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<Option<u64>> {
-        // Per-point thresholds (not the carried bracket): the batch
-        // backend's contract is an op-for-op mirror of the scalar path.
-        capacities.iter().map(|&c| model.k_max(c)).collect()
-    }
-
-    fn best_effort_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<f64> {
-        best_effort_grid(model, capacities, PiEval::Exact)
-    }
-
-    fn reservation_grid(
-        &self,
-        model: &DynModel<'_>,
-        capacities: &[f64],
-        k_maxes: &[Option<u64>],
-        best_efforts: &[f64],
-    ) -> Vec<f64> {
-        reservation_grid_pi(model, capacities, k_maxes, best_efforts, PiEval::Exact)
-    }
-
-    fn sweep_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> GridSweep {
-        // Fused B+R traversal; bitwise identical to composing the three
-        // primitives (the pointwise fused loop is an op-for-op mirror).
-        sweep_grid_fused(model, capacities, PiEval::Exact)
-    }
-}
-
-/// The vectorized fast backend: packed polynomial π for `B`, carried
-/// argmax for `k_max`, exact π for `R`.
-struct FastKernel;
-
-impl Kernel for FastKernel {
-    fn capability(&self) -> KernelCapability {
-        KernelCapability {
-            name: "fast",
-            parity: ParityClass::Tolerance(FAST_TRUNC_REL),
-            // Runtime truth, not a static claim: reflects the dispatch
-            // tier the numeric kernels resolved (honoring `BEVRA_SIMD`).
-            // Cached after first use, so constant for the process life.
-            simd: resolved_simd_level(),
-            portable: false,
-            grid_priming: true,
-            fused: true,
-            fault_sites: EVAL_SITES,
-            // Tag 3 (formerly 1): the fused k-span sweep changed the fast
-            // backend's result bits, so cached unfused rows must not be
-            // served to it. SIMD tier does NOT key the cache — all tiers
-            // produce identical bits by the wrapper contract.
-            cache_tag: 3,
-        }
-    }
-
-    fn k_max_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<Option<u64>> {
-        // Carried bracket over the scalar V(k): thresholds are bitwise
-        // the scalar ones (the fast π never feeds the argmax).
-        k_max_grid_pi(model, capacities, PiEval::Fast)
-    }
-
-    fn best_effort_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<f64> {
-        best_effort_grid(model, capacities, PiEval::Fast)
-    }
-
-    fn reservation_grid(
-        &self,
-        model: &DynModel<'_>,
-        capacities: &[f64],
-        k_maxes: &[Option<u64>],
-        best_efforts: &[f64],
-    ) -> Vec<f64> {
-        reservation_grid_pi(model, capacities, k_maxes, best_efforts, PiEval::Fast)
-    }
-
-    fn sweep_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> GridSweep {
-        // Fused fast sweep: per-lane k-span walk with the R head as an
-        // accumulator snapshot (utilities without a k-span kernel fall
-        // back to the unfused fast composition inside). Same tolerance
-        // contract as the primitives, different summation grouping —
-        // hence this backend's distinct cache tag.
-        sweep_grid_fused(model, capacities, PiEval::Fast)
-    }
-}
-
-/// The cross-platform deterministic backend: scalar polynomial π
-/// everywhere, no libm.
-struct PortableKernel;
-
-impl Kernel for PortableKernel {
-    fn capability(&self) -> KernelCapability {
-        KernelCapability {
-            name: "deterministic-portable",
-            parity: ParityClass::Tolerance(FAST_TRUNC_REL),
-            simd: SimdLevel::None,
-            portable: true,
-            grid_priming: true,
-            fused: true,
-            fault_sites: EVAL_SITES,
-            // The fused exact/portable sweep is bitwise the unfused pair,
-            // so the tag (and the pinned portable digests) are unchanged.
-            cache_tag: 2,
-        }
-    }
-
-    fn k_max_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<Option<u64>> {
-        k_max_grid_pi(model, capacities, PiEval::Portable)
-    }
-
-    fn best_effort_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> Vec<f64> {
-        best_effort_grid(model, capacities, PiEval::Portable)
-    }
-
-    fn reservation_grid(
-        &self,
-        model: &DynModel<'_>,
-        capacities: &[f64],
-        k_maxes: &[Option<u64>],
-        best_efforts: &[f64],
-    ) -> Vec<f64> {
-        reservation_grid_pi(model, capacities, k_maxes, best_efforts, PiEval::Portable)
-    }
-
-    fn sweep_grid(&self, model: &DynModel<'_>, capacities: &[f64]) -> GridSweep {
-        // Fused, and bitwise the unfused portable pair — pinned portable
-        // digests are unaffected.
-        sweep_grid_fused(model, capacities, PiEval::Portable)
-    }
-}
-
-static SCALAR: ScalarKernel = ScalarKernel;
-static BATCH: BatchKernel = BatchKernel;
-static FAST: FastKernel = FastKernel;
-static PORTABLE: PortableKernel = PortableKernel;
-
-/// The scalar reference backend (`BEVRA_KERNEL=scalar`): per-point, no
-/// grid priming, the parity anchor every other backend is measured
-/// against.
-#[must_use]
-pub fn scalar() -> &'static dyn Kernel {
-    &SCALAR
-}
-
-/// The grid-batched exact backend (`BEVRA_KERNEL=batch`, the default):
-/// loop-interchanged table walk, bitwise identical to the scalar path.
-#[must_use]
-pub fn batch() -> &'static dyn Kernel {
-    &BATCH
-}
-
-/// The vectorized fast backend (`BEVRA_KERNEL=fast`): packed polynomial
-/// π for `B`, within 1e-13 relative of scalar; `k_max` and `R` bitwise.
-#[must_use]
-pub fn fast() -> &'static dyn Kernel {
-    &FAST
-}
-
-/// The cross-platform deterministic backend
-/// (`BEVRA_KERNEL=deterministic-portable`): every π through the
-/// branch-free polynomial, bit-identical on every platform and libm.
-#[must_use]
-pub fn portable() -> &'static dyn Kernel {
-    &PORTABLE
-}
-
-/// The four built-in backends, in registry order.
-#[must_use]
-pub fn builtin() -> [&'static dyn Kernel; 4] {
-    [scalar(), batch(), fast(), portable()]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bevra_load::{Poisson, Tabulated};
-    use bevra_utility::AdaptiveExp;
-
-    fn model() -> DiscreteModel<AdaptiveExp> {
-        let load = Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 12);
-        DiscreteModel::new(load, AdaptiveExp::paper())
-    }
-
-    #[test]
-    fn dyn_view_is_bitwise_the_monomorphized_model() {
-        let m = model();
-        let d = m.as_dyn();
-        for c in [0.5, 2.0, 10.0, 20.0, 40.0] {
-            assert_eq!(m.k_max(c), d.k_max(c));
-            assert_eq!(m.best_effort(c).to_bits(), d.best_effort(c).to_bits());
-            assert_eq!(m.reservation(c).to_bits(), d.reservation(c).to_bits());
-        }
-    }
-
-    #[test]
-    fn builtin_capabilities_are_distinctly_named() {
-        let names: Vec<_> = builtin().iter().map(|k| k.capability().name).collect();
-        let mut dedup = names.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len(), "duplicate builtin names: {names:?}");
-    }
-
-    #[test]
-    fn bitwise_backends_match_scalar_reference() {
-        let m = model();
-        let d = m.as_dyn();
-        let cs = [0.5, 2.0, 5.0, 10.0, 20.0, 40.0];
-        for k in [scalar(), batch()] {
-            assert_eq!(k.capability().parity, ParityClass::Bitwise);
-            let got = k.sweep_grid(&d, &cs);
-            for (i, &c) in cs.iter().enumerate() {
-                assert_eq!(got.k_max[i], m.k_max(c), "{} k_max C={c}", k.capability().name);
-                assert_eq!(got.best_effort[i].to_bits(), m.best_effort(c).to_bits());
-                assert_eq!(got.reservation[i].to_bits(), m.reservation(c).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn value_grid_mirrors_value_table_scaling() {
-        let m = model();
-        let d = m.as_dyn();
-        let cs = [5.0, 10.0, 20.0];
-        let vb = batch().value_grid(&d, &cs, false);
-        let vr = batch().value_grid(&d, &cs, true);
-        for (i, &c) in cs.iter().enumerate() {
-            assert_eq!(vb[i].to_bits(), (m.mean_load() * m.best_effort(c)).to_bits());
-            assert_eq!(vr[i].to_bits(), (m.mean_load() * m.reservation(c)).to_bits());
+    /// The backend's self-description. Constant over the life of the
+    /// process: the engine hashes parts of it into persistent-cache keys
+    /// and stamps it into health ledgers.
+    #[must_use]
+    pub fn capability(self) -> KernelCapability {
+        match self {
+            PiEval::Exact => KernelCapability {
+                name: "batch",
+                parity: ParityClass::Bitwise,
+                simd: SimdLevel::Autovec,
+                portable: false,
+                cache_tag: 0,
+            },
+            PiEval::Fast => KernelCapability {
+                name: "fast",
+                parity: ParityClass::Tolerance(FAST_TRUNC_REL),
+                // Runtime truth, not a static claim: the dispatch tier the
+                // numeric kernels resolved (honoring `BEVRA_SIMD`). SIMD
+                // tier does not key the cache — all tiers produce
+                // identical bits by the wrapper contract.
+                simd: resolved_simd_level(),
+                portable: false,
+                // Tag 3 (formerly 1): the fused k-span sweep changed the
+                // fast backend's result bits, so older cached rows must
+                // not be served to it.
+                cache_tag: 3,
+            },
+            PiEval::Portable => KernelCapability {
+                name: "deterministic-portable",
+                parity: ParityClass::Tolerance(FAST_TRUNC_REL),
+                simd: SimdLevel::None,
+                portable: true,
+                cache_tag: 2,
+            },
         }
     }
 }

@@ -53,11 +53,8 @@ pub mod sampling;
 pub mod welfare;
 
 pub use discrete::DiscreteModel;
-pub use discrete_batch::{
-    best_effort_grid, k_max_grid, reservation_grid, sweep_grid, sweep_grid_fused, GridSweep,
-    PiEval,
-};
-pub use kernel::{DynModel, Kernel, KernelCapability, ParityClass, SimdLevel};
+pub use discrete_batch::{k_max_grid, sweep_grid_fused, GridSweep, PiEval};
+pub use kernel::{KernelCapability, ParityClass, SimdLevel};
 pub use gaps::{bandwidth_gap, performance_gap};
 pub use heterogeneous::{mix_loads, FlowClass, HeterogeneousModel, RiskAverseModel};
 pub use retrying::RetryModel;

@@ -9,7 +9,7 @@ use crate::pool::{
     compute_retry_policy, parallel_map_supervised, parallel_map_with, thread_count, ItemError,
 };
 use bevra_core::welfare::SampledValue;
-use bevra_core::{equalizing_price_ratio, DiscreteModel, Kernel};
+use bevra_core::{equalizing_price_ratio, sweep_grid_fused, DiscreteModel, PiEval};
 use bevra_num::{brent, expand_bracket_up, NumError, NumResult};
 use bevra_obs::{enabled, metrics, ObsLevel};
 use bevra_resilience::Deadline;
@@ -178,7 +178,7 @@ impl CheckedSweep {
 pub struct SweepEngine<U: Utility> {
     model: DiscreteModel<U>,
     mode: ExecMode,
-    kernel: &'static dyn Kernel,
+    kernel: PiEval,
     persist: Option<PersistentCache>,
     ckpt: Option<CheckpointStore>,
     kmax: ShardedCache<Option<u64>>,
@@ -202,7 +202,7 @@ impl<U: Utility> SweepEngine<U> {
     }
 
     /// Engine with an explicit execution mode. The kernel backend comes
-    /// from `BEVRA_KERNEL` via the registry, the persistent cache from
+    /// from `BEVRA_KERNEL`, the persistent cache from
     /// `BEVRA_CACHE` (see [`crate::registry::from_env`] and
     /// [`PersistentCache::from_env`]), and the crash-safe sweep
     /// checkpoint store from `BEVRA_CHECKPOINT`
@@ -222,11 +222,9 @@ impl<U: Utility> SweepEngine<U> {
         }
     }
 
-    /// Replace the kernel backend (builder style). Use the accessors in
-    /// `bevra_core::kernel` (e.g. `kernel::fast()`) or a registry lookup
-    /// (`crate::registry::lookup`).
+    /// Replace the kernel backend (builder style), e.g. `PiEval::Fast`.
     #[must_use]
-    pub fn with_kernel(mut self, kernel: &'static dyn Kernel) -> Self {
+    pub fn with_kernel(mut self, kernel: PiEval) -> Self {
         self.kernel = kernel;
         self
     }
@@ -264,7 +262,7 @@ impl<U: Utility> SweepEngine<U> {
     }
 
     /// The active kernel backend.
-    pub fn kernel(&self) -> &'static dyn Kernel {
+    pub fn kernel(&self) -> PiEval {
         self.kernel
     }
 
@@ -275,14 +273,13 @@ impl<U: Utility> SweepEngine<U> {
     }
 
     /// Prime the memo tables for a capacity grid with the active kernel
-    /// backend (no-op for backends whose capability reports
-    /// `grid_priming: false`, e.g. the scalar reference backend).
+    /// backend.
     ///
     /// Non-finite and nonpositive capacities are left to the scalar path;
     /// the rest are sorted, deduplicated, filtered to what is not already
     /// memoized, then either loaded from the persistent cache (keyed by
     /// the backend's capability record, so cached rows never cross parity
-    /// classes) or computed by the backend's grid entry points — in
+    /// classes) or computed by the fused grid traversal — in
     /// parallel contiguous chunks under [`ExecMode::Parallel`] — and
     /// inserted. Bitwise-class backends mirror the scalar path exactly;
     /// tolerance-class backends are deterministic within their documented
@@ -294,9 +291,6 @@ impl<U: Utility> SweepEngine<U> {
     /// scalar path, preserving the engine's degradation contract.
     pub fn prime(&self, capacities: &[f64]) {
         let cap = self.kernel.capability();
-        if !cap.grid_priming {
-            return;
-        }
         let mut cs: Vec<f64> =
             capacities.iter().copied().filter(|c| c.is_finite() && *c > 0.0).collect();
         cs.sort_unstable_by(f64::total_cmp);
@@ -336,19 +330,13 @@ impl<U: Utility> SweepEngine<U> {
         let kernel = self.kernel;
         let threads = self.mode.threads();
         let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // One type-erased view shared by all workers: an Arc clone of
-            // the load plus a borrow of the utility — no table copies.
-            let dyn_model = self.model.as_dyn();
             let chunk_len = cs.len().div_ceil(threads).max(1);
             let chunks: Vec<&[f64]> = cs.chunks(chunk_len).collect();
             let parts = parallel_map_with(&chunks, threads, |chunk| {
-                // Backends with a carried argmax restart the bracket per
-                // chunk; the search returns the smallest maximizer
-                // regardless of the carry, so chunking never changes bits.
-                // `sweep_grid` lets fused backends serve B and R from one
-                // table traversal; for the rest it composes the same three
-                // primitives this loop used to call, in the same order.
-                let sweep = kernel.sweep_grid(&dyn_model, chunk);
+                // The carried argmax bracket restarts per chunk; the search
+                // returns the smallest maximizer regardless of the carry,
+                // so chunking never changes bits.
+                let sweep = sweep_grid_fused(&self.model, chunk, kernel);
                 sweep
                     .k_max
                     .into_iter()
@@ -819,22 +807,21 @@ mod tests {
     }
 
     #[test]
-    fn batched_priming_matches_scalar_kernel_bitwise() {
+    fn batched_priming_matches_per_point_model_bitwise() {
         let cs = grid();
-        let scalar =
-            poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::scalar()).sweep(&cs);
-        let batched =
-            poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::batch()).sweep(&cs);
+        let reference = poisson_engine(ExecMode::Serial);
+        let model = reference.model();
+        let batched = poisson_engine(ExecMode::Serial).with_kernel(PiEval::Exact).sweep(&cs);
         let batched_par = poisson_engine(ExecMode::Parallel { threads: 5 })
-            .with_kernel(bevra_core::kernel::batch())
+            .with_kernel(PiEval::Exact)
             .sweep(&cs);
-        for ((s, b), p) in scalar.iter().zip(&batched).zip(&batched_par) {
-            assert_eq!(s.best_effort.to_bits(), b.best_effort.to_bits());
-            assert_eq!(s.reservation.to_bits(), b.reservation.to_bits());
-            assert_eq!(s.bandwidth_gap.to_bits(), b.bandwidth_gap.to_bits());
-            assert_eq!(s.best_effort.to_bits(), p.best_effort.to_bits());
-            assert_eq!(s.reservation.to_bits(), p.reservation.to_bits());
-            assert_eq!(s.bandwidth_gap.to_bits(), p.bandwidth_gap.to_bits());
+        for ((&c, b), p) in cs.iter().zip(&batched).zip(&batched_par) {
+            let gap = bevra_core::bandwidth_gap(model, c).unwrap_or(f64::NAN);
+            for pt in [b, p] {
+                assert_eq!(model.best_effort(c).to_bits(), pt.best_effort.to_bits());
+                assert_eq!(model.reservation(c).to_bits(), pt.reservation.to_bits());
+                assert_eq!(gap.to_bits(), pt.bandwidth_gap.to_bits());
+            }
         }
     }
 
@@ -842,9 +829,9 @@ mod tests {
     fn fast_kernel_is_close_but_fast_tables_never_cross_keys() {
         let cs = grid();
         let exact =
-            poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::batch()).sweep(&cs);
+            poisson_engine(ExecMode::Serial).with_kernel(PiEval::Exact).sweep(&cs);
         let fast =
-            poisson_engine(ExecMode::Serial).with_kernel(bevra_core::kernel::fast()).sweep(&cs);
+            poisson_engine(ExecMode::Serial).with_kernel(PiEval::Fast).sweep(&cs);
         for (e, f) in exact.iter().zip(&fast) {
             let tol = 1e-12 * e.best_effort.abs().max(1e-300);
             assert!(

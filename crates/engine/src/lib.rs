@@ -37,20 +37,18 @@
 //!
 //! # Kernel backends
 //!
-//! Grid priming goes through a first-class [`bevra_core::Kernel`]
-//! backend, selected from the process-global [`registry`]. Each backend
+//! Grid priming runs one fused B+R traversal
+//! ([`bevra_core::sweep_grid_fused`]) parameterized by a
+//! [`bevra_core::PiEval`] backend — a closed enum of three. Each backend
 //! self-reports a [`bevra_core::KernelCapability`] record — name, parity
-//! class (`Bitwise` vs `Tolerance`), SIMD level, fault-site coverage,
-//! cache-key tag — that flows into the persistent-cache key
-//! ([`grid_key`]), the [`SweepHealth`] ledger, and the emitted perf
-//! artifacts. Four backends are built in: `scalar` (per-point reference,
-//! no priming), `batch` (loop-interchanged grids, bitwise, the default),
-//! `fast` (vectorized ULP-budgeted exp), and `deterministic-portable`
-//! (integer-scaled exp path with identical bits on every libm).
-//! `BEVRA_KERNEL=<name>` selects one; unknown names fall back to `scalar`
-//! with a warning. External backends register with
-//! [`registry::register`] and are picked up by the parity and chaos
-//! suites automatically.
+//! class (`Bitwise` vs `Tolerance`), SIMD level, cache-key tag — that
+//! flows into the persistent-cache key ([`grid_key`]), the
+//! [`SweepHealth`] ledger, and the emitted perf artifacts: `batch`
+//! (`PiEval::Exact`, bitwise, the default), `fast` (`PiEval::Fast`,
+//! vectorized ULP-budgeted exp), and `deterministic-portable`
+//! (`PiEval::Portable`, integer-scaled exp path with identical bits on
+//! every libm). `BEVRA_KERNEL=<name>` selects one ([`registry`]);
+//! unknown names fall back to `batch` with a warning.
 //!
 //! # Determinism
 //!
@@ -98,7 +96,7 @@ pub mod persist;
 pub mod pool;
 pub mod registry;
 
-pub use bevra_core::{Kernel, KernelCapability, ParityClass, SimdLevel};
+pub use bevra_core::{KernelCapability, ParityClass, PiEval, SimdLevel};
 pub use cache::{CacheStats, ShardedCache};
 pub use checkpoint::{CheckpointStore, CHECKPOINT_DIR_ENV, CHECKPOINT_ENV};
 pub use engine::{

@@ -1,196 +1,68 @@
-//! Process-global backend registry: the single source of truth for which
-//! [`Kernel`] backends exist and which one `BEVRA_KERNEL` selects.
+//! `BEVRA_KERNEL` resolution: which [`PiEval`] backend the engines in this
+//! process use.
 //!
-//! The registry is seeded with the four built-ins
-//! (`bevra_core::kernel::builtin()`) on first touch. External backends
-//! (AVX-512, NEON, offload, …) register a `&'static dyn Kernel` with
-//! [`register`]; from then on the parity suite and the chaos harness pick
-//! them up automatically via [`backends`], and `BEVRA_KERNEL=<name>`
-//! selects them — no engine changes required.
+//! The backends form a closed set ([`PiEval::ALL`]), so resolution is a
+//! pure table lookup:
 //!
-//! # Selection semantics (`BEVRA_KERNEL`)
+//! | request | backend |
+//! |---|---|
+//! | unset | `batch` ([`PiEval::Exact`], bitwise, the default) |
+//! | `batch` | `batch` |
+//! | `fast` | `fast` ([`PiEval::Fast`]) |
+//! | `deterministic-portable`, alias `portable` | [`PiEval::Portable`] |
+//! | anything else | `batch`, with a warning |
 //!
-//! * unset → the `batch` backend (bitwise, grid-priming — the default);
-//! * a registered name (`scalar`, `batch`, `fast`,
-//!   `deterministic-portable`, or anything registered later) → that
-//!   backend; `portable` is accepted as an alias for
-//!   `deterministic-portable`;
-//! * anything else → the `scalar` reference backend, with a warning on
-//!   stderr and a `kernel/unknown_env` metric — the safest backend wins
-//!   when the request is unintelligible.
-//!
-//! # Registering a backend
-//!
-//! ```
-//! use bevra_core::kernel::{DynModel, Kernel, KernelCapability, ParityClass, SimdLevel};
-//!
-//! /// A demo backend that delegates to the built-in batch kernel.
-//! struct Offload;
-//!
-//! impl Kernel for Offload {
-//!     fn capability(&self) -> KernelCapability {
-//!         KernelCapability {
-//!             name: "offload-demo",
-//!             parity: ParityClass::Bitwise,
-//!             simd: SimdLevel::None,
-//!             portable: false,
-//!             grid_priming: true,
-//!             fused: false,
-//!             fault_sites: &["eval/best_effort", "eval/reservation"],
-//!             cache_tag: 17,
-//!         }
-//!     }
-//!     fn k_max_grid(&self, m: &DynModel<'_>, cs: &[f64]) -> Vec<Option<u64>> {
-//!         bevra_core::kernel::batch().k_max_grid(m, cs)
-//!     }
-//!     fn best_effort_grid(&self, m: &DynModel<'_>, cs: &[f64]) -> Vec<f64> {
-//!         bevra_core::kernel::batch().best_effort_grid(m, cs)
-//!     }
-//!     fn reservation_grid(
-//!         &self,
-//!         m: &DynModel<'_>,
-//!         cs: &[f64],
-//!         k: &[Option<u64>],
-//!         b: &[f64],
-//!     ) -> Vec<f64> {
-//!         bevra_core::kernel::batch().reservation_grid(m, cs, k, b)
-//!     }
-//! }
-//!
-//! static OFFLOAD: Offload = Offload;
-//! bevra_engine::registry::register(&OFFLOAD).expect("fresh name");
-//! let found = bevra_engine::registry::lookup("offload-demo").expect("registered");
-//! assert_eq!(found.capability().cache_tag, 17);
-//! // Registered backends are selectable and enumerable like built-ins.
-//! assert!(bevra_engine::registry::backends().len() >= 5);
-//! ```
+//! An unknown name never aborts and never changes numeric results: it
+//! falls back to the bitwise default, warns once on stderr, and bumps the
+//! `kernel/unknown_env` counter. This also covers the retired `scalar`
+//! backend, which produced the same bits as `batch`.
 
-use bevra_core::kernel::{self, Kernel};
-use std::sync::{Mutex, OnceLock, PoisonError};
-
-/// Why a [`register`] call was refused.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegistryError {
-    /// A backend with this capability name is already registered. Names
-    /// key the persistent cache and `BEVRA_KERNEL` selection, so they
-    /// must be unique for the life of the process.
-    DuplicateName(&'static str),
-}
-
-impl std::fmt::Display for RegistryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::DuplicateName(name) => {
-                write!(f, "a kernel backend named {name:?} is already registered")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RegistryError {}
+use bevra_core::PiEval;
+use std::sync::Once;
 
 /// The outcome of resolving a `BEVRA_KERNEL` request (see [`resolve`]).
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Selection {
     /// The backend the engine will use.
-    pub kernel: &'static dyn Kernel,
+    pub kernel: PiEval,
     /// Human-readable warning when the request named an unknown backend
-    /// and the scalar fallback was substituted; `None` on a clean match.
+    /// and the default was substituted; `None` on a clean match.
     pub warning: Option<&'static str>,
 }
 
-impl std::fmt::Debug for Selection {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Selection")
-            .field("kernel", &self.kernel.capability().name)
-            .field("warning", &self.warning)
-            .finish()
-    }
-}
-
-static REGISTRY: OnceLock<Mutex<Vec<&'static dyn Kernel>>> = OnceLock::new();
-
-fn registry() -> &'static Mutex<Vec<&'static dyn Kernel>> {
-    REGISTRY.get_or_init(|| Mutex::new(kernel::builtin().to_vec()))
-}
-
-fn with_registry<T>(f: impl FnOnce(&mut Vec<&'static dyn Kernel>) -> T) -> T {
-    // A poisoned lock only means another thread panicked mid-read; the
-    // Vec itself is always in a consistent state (push is the only write).
-    f(&mut registry().lock().unwrap_or_else(PoisonError::into_inner))
-}
-
-/// Register an external backend.
-///
-/// # Errors
-///
-/// Returns [`RegistryError::DuplicateName`] if a backend with the same
-/// capability name (built-in or previously registered) already exists;
-/// the registry is unchanged in that case.
-pub fn register(backend: &'static dyn Kernel) -> Result<(), RegistryError> {
-    let name = backend.capability().name;
-    with_registry(|reg| {
-        if reg.iter().any(|k| k.capability().name == name) {
-            return Err(RegistryError::DuplicateName(name));
-        }
-        reg.push(backend);
-        Ok(())
-    })
-}
-
-/// Look a backend up by capability name (exact match, plus the
-/// `portable` alias for `deterministic-portable`).
-#[must_use]
-pub fn lookup(name: &str) -> Option<&'static dyn Kernel> {
-    let name = if name == "portable" { "deterministic-portable" } else { name };
-    with_registry(|reg| reg.iter().copied().find(|k| k.capability().name == name))
-}
-
-/// Snapshot of every registered backend, in registration order
-/// (built-ins first). The parity suite and the chaos harness iterate
-/// this, so a newly registered backend is covered automatically.
-#[must_use]
-pub fn backends() -> Vec<&'static dyn Kernel> {
-    with_registry(|reg| reg.clone())
-}
-
-/// The backend used when `BEVRA_KERNEL` is unset: grid-batched, bitwise.
-#[must_use]
-pub fn default_kernel() -> &'static dyn Kernel {
-    kernel::batch()
-}
-
 /// Pure resolution of a `BEVRA_KERNEL` request — the testable core of
-/// [`from_env`]. `None` (variable unset) selects the default backend;
-/// an unknown name falls back to the scalar reference backend with a
-/// warning, never an abort: a misspelled selector must not silently
-/// change numeric results, and scalar is the parity anchor.
+/// [`from_env`] (see the module docs for the table).
 #[must_use]
 pub fn resolve(request: Option<&str>) -> Selection {
-    match request {
-        None => Selection { kernel: default_kernel(), warning: None },
-        Some(name) => match lookup(name) {
-            Some(kernel) => Selection { kernel, warning: None },
-            None => Selection {
-                kernel: kernel::scalar(),
+    let kernel = match request {
+        None | Some("batch") => PiEval::Exact,
+        Some("fast") => PiEval::Fast,
+        Some("deterministic-portable" | "portable") => PiEval::Portable,
+        Some(_) => {
+            return Selection {
+                kernel: PiEval::Exact,
                 warning: Some(
-                    "unknown BEVRA_KERNEL backend; falling back to the scalar reference kernel",
+                    "unknown BEVRA_KERNEL backend; falling back to the default batch kernel",
                 ),
-            },
-        },
-    }
+            }
+        }
+    };
+    Selection { kernel, warning: None }
 }
 
-/// Resolve `BEVRA_KERNEL` from the environment (see the module docs for
-/// the selection table). Unknown names warn on stderr and bump the
-/// `kernel/unknown_env` counter before falling back to scalar.
+/// Resolve `BEVRA_KERNEL` from the environment. Unknown names bump the
+/// `kernel/unknown_env` counter and warn on stderr (once per process)
+/// before falling back to `batch`.
 #[must_use]
-pub fn from_env() -> &'static dyn Kernel {
+pub fn from_env() -> PiEval {
+    static WARN: Once = Once::new();
     let request = std::env::var("BEVRA_KERNEL").ok();
     let selection = resolve(request.as_deref());
     if let Some(warning) = selection.warning {
         bevra_obs::metrics::counter("kernel/unknown_env").inc();
-        eprintln!("bevra: BEVRA_KERNEL={}: {warning}", request.as_deref().unwrap_or(""));
+        WARN.call_once(|| {
+            eprintln!("bevra: BEVRA_KERNEL={}: {warning}", request.as_deref().unwrap_or(""));
+        });
     }
     selection.kernel
 }
@@ -198,90 +70,24 @@ pub fn from_env() -> &'static dyn Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bevra_core::kernel::{DynModel, KernelCapability, ParityClass, SimdLevel};
-
-    /// A minimal backend delegating to batch, for registration tests.
-    struct Delegating(&'static str);
-    impl Kernel for Delegating {
-        fn capability(&self) -> KernelCapability {
-            KernelCapability {
-                name: self.0,
-                parity: ParityClass::Bitwise,
-                simd: SimdLevel::None,
-                portable: false,
-                grid_priming: true,
-                fused: false,
-                fault_sites: &["eval/best_effort", "eval/reservation"],
-                cache_tag: 0xAA,
-            }
-        }
-        fn k_max_grid(&self, m: &DynModel<'_>, cs: &[f64]) -> Vec<Option<u64>> {
-            kernel::batch().k_max_grid(m, cs)
-        }
-        fn best_effort_grid(&self, m: &DynModel<'_>, cs: &[f64]) -> Vec<f64> {
-            kernel::batch().best_effort_grid(m, cs)
-        }
-        fn reservation_grid(
-            &self,
-            m: &DynModel<'_>,
-            cs: &[f64],
-            k: &[Option<u64>],
-            b: &[f64],
-        ) -> Vec<f64> {
-            kernel::batch().reservation_grid(m, cs, k, b)
-        }
-    }
 
     #[test]
-    fn builtins_are_registered_and_lookup_works() {
-        let names: Vec<_> = backends().iter().map(|k| k.capability().name).collect();
-        for want in ["scalar", "batch", "fast", "deterministic-portable"] {
-            assert!(names.contains(&want), "missing builtin {want}: {names:?}");
-            assert!(lookup(want).is_some());
-        }
-        // The short alias resolves to the portable backend.
-        assert_eq!(lookup("portable").map(|k| k.capability().name), Some("deterministic-portable"));
-    }
-
-    #[test]
-    fn duplicate_names_are_rejected_builtin_and_registered() {
-        static CLASH: Delegating = Delegating("batch");
-        assert_eq!(register(&CLASH), Err(RegistryError::DuplicateName("batch")));
-
-        static FRESH: Delegating = Delegating("registry-test-fresh");
-        assert_eq!(register(&FRESH), Ok(()));
-        static AGAIN: Delegating = Delegating("registry-test-fresh");
-        assert_eq!(register(&AGAIN), Err(RegistryError::DuplicateName("registry-test-fresh")));
-        // The winner is still the first registration.
-        assert!(lookup("registry-test-fresh").is_some());
-    }
-
-    #[test]
-    fn resolve_unset_is_default_batch() {
-        let sel = resolve(None);
-        assert_eq!(sel.kernel.capability().name, "batch");
-        assert!(sel.warning.is_none());
-    }
-
-    #[test]
-    fn resolve_known_names() {
+    fn resolve_table() {
         for (req, want) in [
-            ("scalar", "scalar"),
-            ("batch", "batch"),
-            ("fast", "fast"),
-            ("deterministic-portable", "deterministic-portable"),
-            ("portable", "deterministic-portable"),
+            (None, "batch"),
+            (Some("batch"), "batch"),
+            (Some("fast"), "fast"),
+            (Some("deterministic-portable"), "deterministic-portable"),
+            (Some("portable"), "deterministic-portable"),
         ] {
-            let sel = resolve(Some(req));
-            assert_eq!(sel.kernel.capability().name, want, "request {req}");
-            assert!(sel.warning.is_none(), "request {req} warned spuriously");
+            let sel = resolve(req);
+            assert_eq!(sel.kernel.capability().name, want, "request {req:?}");
+            assert!(sel.warning.is_none(), "request {req:?} warned spuriously");
         }
-    }
-
-    #[test]
-    fn resolve_unknown_falls_back_to_scalar_with_warning() {
-        let sel = resolve(Some("no-such-backend"));
-        assert_eq!(sel.kernel.capability().name, "scalar");
-        assert!(sel.warning.is_some(), "unknown backend must warn");
+        for req in ["scalar", "no-such-backend", "", "BATCH"] {
+            let sel = resolve(Some(req));
+            assert_eq!(sel.kernel, PiEval::Exact, "request {req:?}");
+            assert!(sel.warning.is_some(), "request {req:?} must warn");
+        }
     }
 }

@@ -188,7 +188,7 @@ pub fn emit_figure(fig: &Figure, dir: &Path) -> std::io::Result<()> {
 }
 
 /// Resolve and announce the kernel backend every engine in this process
-/// will pick up (`BEVRA_KERNEL` via the engine registry): one line naming
+/// will pick up (`BEVRA_KERNEL`, see `bevra_engine::registry`): one line naming
 /// the backend and its capability record, so a figure run's stdout
 /// records which parity class produced the artifacts. The figure binaries
 /// call this at the top of `main`; the per-sweep stamp also lands in the
@@ -196,12 +196,11 @@ pub fn emit_figure(fig: &Figure, dir: &Path) -> std::io::Result<()> {
 pub fn announce_kernel() {
     let cap = bevra_engine::registry::from_env().capability();
     println!(
-        "kernel: {} ({:?} parity, simd {:?}{}{})",
+        "kernel: {} ({:?} parity, simd {:?}{})",
         cap.name,
         cap.parity,
         cap.simd,
         if cap.portable { ", portable" } else { "" },
-        if cap.grid_priming { ", grid-priming" } else { ", per-point" },
     );
 }
 

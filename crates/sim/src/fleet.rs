@@ -140,7 +140,7 @@ impl FleetHealth {
 pub struct FleetReport {
     /// All surviving lanes' reports, folded in strict lane order.
     /// `merged.digest()` is the fleet's canonical digest — invariant
-    /// under `BEVRA_SIM_SHARDS`, `BEVRA_THREADS`, and `BEVRA_SIM_QUEUE`.
+    /// under `BEVRA_SIM_SHARDS`, `BEVRA_THREADS`, and the [`QueueKind`].
     pub merged: SimReport,
     /// Per-lane digests (`None` for lanes that stayed dead) — the
     /// accounting granularity the chaos suite checks.
@@ -229,11 +229,11 @@ impl Fleet {
         cfg
     }
 
-    /// Run the fleet at the ambient shard count ([`shard_count`]) and
-    /// queue kind (`BEVRA_SIM_QUEUE`).
+    /// Run the fleet at the ambient shard count ([`shard_count`]) on the
+    /// timer wheel.
     #[must_use]
     pub fn run(&self) -> FleetReport {
-        self.run_on(shard_count(), QueueKind::from_env())
+        self.run_on(shard_count(), QueueKind::Wheel)
     }
 
     /// Run the fleet with an explicit shard count and queue kind — the

@@ -1,5 +1,6 @@
 //! Roofline probe for the fig4 value kernels: wall time next to the
-//! traffic and arithmetic it implies, per SIMD tier, fused vs unfused.
+//! traffic and arithmetic it implies, for the fused fast pass per SIMD
+//! tier.
 //!
 //! For the Figure 4 setting (algebraic z = 3 load tabulated to 2^18
 //! entries, adaptive-exponential utility, 48-point capacity grid) the
@@ -19,7 +20,7 @@
 //! cargo run --release --example kernel_roofline
 //! ```
 
-use bevra::analysis::{sweep_grid, sweep_grid_fused, DiscreteModel, PiEval};
+use bevra::analysis::{sweep_grid_fused, DiscreteModel, PiEval};
 use bevra::load::{Algebraic, Tabulated, PAPER_MEAN_LOAD};
 use bevra::num::simd;
 use bevra::obs::energy::EnergyProbe;
@@ -104,11 +105,6 @@ fn main() {
         );
     };
 
-    for &tier in &tiers {
-        simd::force_level(tier);
-        let label = format!("unfused-fast @ {}", tier.as_str());
-        row(&label, &|| sweep_grid(&model, &cs, PiEval::Fast).best_effort[47]);
-    }
     for &tier in &tiers {
         simd::force_level(tier);
         let label = format!("fused-fast   @ {}", tier.as_str());

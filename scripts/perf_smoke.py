@@ -14,19 +14,22 @@ persistent cache no longer hitting), not percent-level noise.
 `--require NAME` (repeatable) replaces the default required-row set, so a
 job that only ran one bench target (e.g. the sim-scale job running
 `--bench sim`) can gate on its own rows without demanding the kernel
-rows. `--min-speedup FAST:SLOW:RATIO` (repeatable) additionally asserts
-an *absolute* architecture claim within the fresh run: bench FAST must be
-at least RATIO× faster (by median ns) than bench SLOW — used by the
-sim-scale job to hold the timer-wheel/SoA loop to its ≥10× events/s
-improvement over the legacy heap loop, and by the kernel job to hold the
-fused B+R pass to its ≥1.5× claim over the unfused composition.
+rows. `--row-threshold NAME:RATIO` (repeatable) replaces THRESHOLD for
+one row with a tighter per-row bound against its committed baseline —
+used by the kernel job to hold the fused B+R pass (`kernel_sweep_fused`)
+within 1.15× of its baseline median. `--min-speedup FAST:SLOW:RATIO`
+(repeatable) additionally asserts an *absolute* architecture claim within
+the fresh run: bench FAST must be at least RATIO× faster (by median ns)
+than bench SLOW — used by the sim-scale job to hold the timer-wheel/SoA
+loop to its ≥10× events/s improvement over the legacy heap loop.
 
 Rows may carry an optional `joules_per_sweep` field (null when the RAPL
 probe was unavailable). It is printed when present and never gated —
 energy varies across machines far more than wall time does.
 
 Usage: perf_smoke.py [fresh] [baseline] [--threshold X]
-                     [--require NAME ...] [--min-speedup FAST:SLOW:RATIO ...]
+                     [--require NAME ...] [--row-threshold NAME:RATIO ...]
+                     [--min-speedup FAST:SLOW:RATIO ...]
 Defaults: BENCH_sweep.json BENCH_baseline.json --threshold 3.0
 """
 
@@ -63,9 +66,20 @@ def main():
     ap.add_argument("--threshold", type=float, default=3.0)
     ap.add_argument("--require", action="append", default=None, metavar="NAME")
     ap.add_argument(
+        "--row-threshold", action="append", default=[], metavar="NAME:RATIO"
+    )
+    ap.add_argument(
         "--min-speedup", action="append", default=[], metavar="FAST:SLOW:RATIO"
     )
     args = ap.parse_args()
+
+    row_threshold = {}
+    for spec in args.row_threshold:
+        try:
+            name, ratio_s = spec.split(":")
+            row_threshold[name] = float(ratio_s)
+        except ValueError:
+            sys.exit(f"bad --row-threshold spec {spec!r}, expected NAME:RATIO")
 
     fresh = load(args.fresh)
     base = load(args.baseline)
@@ -96,17 +110,21 @@ def main():
     shared = sorted(set(fresh) & set(base))
     if not shared:
         sys.exit("no benchmarks shared between fresh run and baseline")
+    unbounded = [name for name in row_threshold if name not in shared]
+    if unbounded:
+        sys.exit(f"--row-threshold: not in both files: {', '.join(unbounded)}")
 
     failures = []
-    print(f"{'benchmark':40} {'baseline':>12} {'fresh':>12} {'ratio':>7}")
+    print(f"{'benchmark':40} {'baseline':>12} {'fresh':>12} {'ratio':>7} {'bound':>7}")
     for name in shared:
         b = base[name]["median_ns"]
         f = fresh[name]["median_ns"]
+        bound = row_threshold.get(name, args.threshold)
         ratio = f / b if b > 0 else float("inf")
-        flag = "  REGRESSED" if ratio > args.threshold else ""
-        print(f"{name:40} {b / 1e6:10.2f}ms {f / 1e6:10.2f}ms {ratio:6.2f}x{flag}")
-        if ratio > args.threshold:
-            failures.append((name, ratio))
+        flag = "  REGRESSED" if ratio > bound else ""
+        print(f"{name:40} {b / 1e6:10.2f}ms {f / 1e6:10.2f}ms {ratio:6.2f}x {bound:6.2f}x{flag}")
+        if ratio > bound:
+            failures.append((name, ratio, bound))
 
     energy = [
         (name, row["joules_per_sweep"])
@@ -119,9 +137,9 @@ def main():
             print(f"  {name:38} {joules:.4f} J/sweep")
 
     if failures:
-        worst = ", ".join(f"{n} ({r:.1f}x)" for n, r in failures)
-        sys.exit(f"perf smoke FAILED (>{args.threshold}x median regression): {worst}")
-    print(f"perf smoke ok: {len(shared)} benches within {args.threshold}x of baseline")
+        worst = ", ".join(f"{n} ({r:.2f}x > {b:.2f}x)" for n, r, b in failures)
+        sys.exit(f"perf smoke FAILED (median regression past its bound): {worst}")
+    print(f"perf smoke ok: {len(shared)} benches within their bounds of baseline")
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ fn pinned_cache_fault_scenario_degrades_to_recompute() {
             DiscreteModel::new(load.clone(), AdaptiveExp::paper()),
             ExecMode::Serial,
         )
-        .with_kernel(bevra::analysis::kernel::batch())
+        .with_kernel(bevra::analysis::PiEval::Exact)
     };
     // Fault-free baseline under the install lock with an empty plan: the
     // plan is process-global, and a concurrent test's plan would leak in.

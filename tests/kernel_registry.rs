@@ -1,13 +1,13 @@
-//! Workspace acceptance for the kernel backend registry (the backend
-//! PR's tentpole): capability records flow into the persistent-cache key,
-//! the ported scalar backend is bitwise the pre-refactor per-point path,
-//! and the `deterministic-portable` backend produces pinned,
-//! libm-independent bits.
+//! Workspace acceptance for the kernel backends and their `BEVRA_KERNEL`
+//! names: capability records flow into pinned persistent-cache keys, a
+//! `scalar` request is bitwise the per-point path, and the
+//! `deterministic-portable` backend produces pinned, libm-independent
+//! bits.
 
-use bevra::analysis::{kernel, DiscreteModel, PiEval};
-use bevra::engine::{CacheMode, ExecMode, PersistentCache, SweepEngine};
+use bevra::analysis::{sweep_grid_fused, DiscreteModel, PiEval};
+use bevra::engine::{grid_key, registry, CacheMode, ExecMode, PersistentCache, SweepEngine};
 use bevra::load::{Poisson, Tabulated};
-use bevra::utility::AdaptiveExp;
+use bevra::utility::{AdaptiveExp, Rigid};
 
 fn model() -> DiscreteModel<AdaptiveExp> {
     let load = Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 12);
@@ -19,10 +19,8 @@ fn grid() -> Vec<f64> {
 }
 
 /// The capability record round-trips through the persistent-cache key:
-/// rows primed by one parity class are never served to another, while
-/// bitwise-interchangeable backends (scalar/batch share a `cache_tag`)
-/// do share entries. Checked functionally through real cache traffic,
-/// not just key inequality.
+/// rows primed by one parity class are never served to another. Checked
+/// functionally through real cache traffic, not just key inequality.
 #[test]
 fn capability_record_round_trips_through_cache_key() {
     let dir = std::env::temp_dir()
@@ -37,13 +35,13 @@ fn capability_record_round_trips_through_cache_key() {
     };
 
     // Cold batch prime: one miss, one store.
-    let batch = engine(kernel::batch());
+    let batch = engine(PiEval::Exact);
     batch.prime(&cs);
     assert_eq!(batch.persistent_cache().map(|p| p.stores()), Some(1));
 
     // Fast and portable request different capability keys: both miss the
     // batch entry and store their own.
-    for k in [kernel::fast(), kernel::portable()] {
+    for k in [PiEval::Fast, PiEval::Portable] {
         let other = engine(k);
         other.prime(&cs);
         let pc = other.persistent_cache().expect("cache attached");
@@ -57,50 +55,55 @@ fn capability_record_round_trips_through_cache_key() {
         assert_eq!(pc.stores(), 1, "{}: stores its own entry", k.capability().name);
     }
 
-    // A warm batch engine is a pure hit again…
-    let warm = engine(kernel::batch());
+    // A warm batch engine is a pure hit again.
+    let warm = engine(PiEval::Exact);
     warm.prime(&cs);
     let s = warm.persistent_cache().expect("cache attached").stats();
     assert_eq!((s.hits, s.misses), (1, 0), "batch warm prime is a pure hit");
-
-    // …and scalar/batch sharing a cache class is visible in the key
-    // itself (scalar never primes, so the check is on `grid_key`).
-    let m = model();
-    let scalar_cap = kernel::scalar().capability();
-    let batch_cap = kernel::batch().capability();
-    assert_eq!(
-        bevra::engine::grid_key(&m, &scalar_cap, &cs),
-        bevra::engine::grid_key(&m, &batch_cap, &cs),
-        "bitwise twins share cache entries"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The ported scalar backend is bitwise the pre-refactor per-point path:
+/// Persistent-cache keys are pinned per backend, so entries already in
+/// `results/cache` stay valid and a capability edit cannot re-key them
+/// silently. The model is libm-free (literal load weights, rigid
+/// utility), so the pins hold on every platform. The retired `scalar`
+/// backend shared `batch`'s key; a `scalar` request now resolves to
+/// `batch` and so still finds those entries.
+#[test]
+fn grid_keys_are_pinned_per_backend() {
+    let load = Tabulated::from_weights(vec![
+        0.02, 0.08, 0.16, 0.22, 0.20, 0.14, 0.09, 0.05, 0.03, 0.01,
+    ]);
+    let m = DiscreteModel::new(load, Rigid::unit());
+    let cs: Vec<f64> = (1..=24).map(|i| 0.625 * f64::from(i)).collect();
+    let key = |k: PiEval| grid_key(&m, &k.capability(), &cs);
+    assert_eq!(key(PiEval::Exact), 0x8EA0_92CC_DDB9_C263, "batch key moved");
+    assert_eq!(key(PiEval::Fast), 0xFBC0_C652_D164_B09E, "fast key moved");
+    assert_eq!(key(PiEval::Portable), 0x4D02_51F9_A305_2604, "portable key moved");
+    assert_eq!(key(registry::resolve(Some("scalar")).kernel), key(PiEval::Exact));
+}
+
+/// A `BEVRA_KERNEL=scalar` request is bitwise the per-point path:
 /// `DiscreteModel::{k_max, best_effort, reservation}` called point by
-/// point plus the serial `bandwidth_gap` solver — the exact code the
-/// engine ran before the `Kernel` trait existed.
+/// point plus the serial `bandwidth_gap` solver. The retired scalar
+/// backend ran exactly that code; the request now resolves to `batch`,
+/// whose fused traversal reproduces it bit for bit.
 #[test]
 fn scalar_backend_is_bitwise_the_pre_refactor_path() {
     let cs = grid();
     let reference = model();
-    let swept = SweepEngine::with_mode(model(), ExecMode::Serial)
-        .with_kernel(kernel::scalar())
-        .sweep(&cs);
-    for (&c, pt) in cs.iter().zip(&swept) {
-        assert_eq!(reference.k_max(c), kernel_k_max(&reference, c), "sanity");
+    let selection = registry::resolve(Some("scalar"));
+    assert!(selection.warning.is_some(), "scalar is no longer a backend name");
+    let engine = SweepEngine::with_mode(model(), ExecMode::Serial).with_kernel(selection.kernel);
+    let swept = engine.sweep(&cs);
+    let grid_sweep = sweep_grid_fused(&reference, &cs, selection.kernel);
+    for (i, (&c, pt)) in cs.iter().zip(&swept).enumerate() {
+        assert_eq!(reference.k_max(c), grid_sweep.k_max[i], "k_max at C={c}");
         assert_eq!(reference.best_effort(c).to_bits(), pt.best_effort.to_bits(), "B at C={c}");
         assert_eq!(reference.reservation(c).to_bits(), pt.reservation.to_bits(), "R at C={c}");
         let gap = bevra::analysis::bandwidth_gap(&reference, c).unwrap_or(f64::NAN);
         assert_eq!(gap.to_bits(), pt.bandwidth_gap.to_bits(), "Δ at C={c}");
     }
-}
-
-/// The scalar *backend object* agrees with the model methods it claims to
-/// mirror (guards the trait impl itself, not just the engine plumbing).
-fn kernel_k_max(m: &DiscreteModel<AdaptiveExp>, c: f64) -> Option<u64> {
-    let dyn_m = m.as_dyn();
-    kernel::scalar().k_max_grid(&dyn_m, &[c])[0]
 }
 
 /// FNV-1a over a stream of u64 bit patterns.
@@ -133,7 +136,7 @@ fn portable_backend_digest_is_pinned_across_environments() {
     ]);
     let model = DiscreteModel::new(load, AdaptiveExp::paper());
     let cs: Vec<f64> = (1..=24).map(|i| 0.625 * f64::from(i)).collect();
-    let swept = bevra::analysis::sweep_grid(&model, &cs, PiEval::Portable);
+    let swept = sweep_grid_fused(&model, &cs, PiEval::Portable);
 
     let digest = fnv(
         swept
@@ -151,7 +154,7 @@ fn portable_backend_digest_is_pinned_across_environments() {
     // And the engine path over the portable backend reproduces itself
     // exactly (cache off, grid priming on): determinism within this
     // environment is a prerequisite of determinism across them.
-    let again = bevra::analysis::sweep_grid(&model, &cs, PiEval::Portable);
+    let again = sweep_grid_fused(&model, &cs, PiEval::Portable);
     assert_eq!(swept.best_effort, again.best_effort);
     assert_eq!(swept.reservation, again.reservation);
 }
@@ -162,10 +165,9 @@ fn portable_backend_digest_is_pinned_across_environments() {
 fn health_ledger_names_the_active_backend() {
     let cs = grid();
     for (k, want) in [
-        (kernel::scalar(), "scalar"),
-        (kernel::batch(), "batch"),
-        (kernel::fast(), "fast"),
-        (kernel::portable(), "deterministic-portable"),
+        (PiEval::Exact, "batch"),
+        (PiEval::Fast, "fast"),
+        (PiEval::Portable, "deterministic-portable"),
     ] {
         let checked = SweepEngine::with_mode(model(), ExecMode::Serial)
             .with_kernel(k)

@@ -135,31 +135,6 @@ fn corpus_digests_match_golden_on_all_implementations() {
     }
 }
 
-/// The wheel granularity is a performance knob, never a semantic one: the
-/// same corpus digests come out at a granularity 512× coarser and 1000×
-/// finer than the default (exercising heavy bucket sharing and the
-/// overflow/cascade machinery respectively).
-#[test]
-fn wheel_granularity_does_not_change_digests() {
-    // The env knob is process-global and other tests in this binary run
-    // wheel-backed sims concurrently — harmless here, because the very
-    // invariant under test is that the knob never changes a digest.
-    for (i, cfg) in corpus().into_iter().enumerate().take(5) {
-        let (digest, _) = GOLDEN[i];
-        for granularity in ["8.0", "0.0000156"] {
-            std::env::set_var(bevra::sim::wheel::WHEEL_GRANULARITY_ENV, granularity);
-            let rep = Simulation::new(cfg.clone()).run_on(QueueKind::Wheel);
-            std::env::remove_var(bevra::sim::wheel::WHEEL_GRANULARITY_ENV);
-            assert_eq!(
-                rep.digest(),
-                digest,
-                "corpus[{i}] at granularity {granularity}: {}",
-                summary(&rep)
-            );
-        }
-    }
-}
-
 /// The budget watchdog truncates identically across all three
 /// implementations: same event count, same partial census, same digest.
 #[test]
