@@ -7,7 +7,7 @@
 
 use bevra_core::{sweep_grid_fused, DiscreteModel, PiEval};
 use bevra_obs::energy::EnergyProbe;
-use bevra_engine::{Architecture, CacheMode, ExecMode, PersistentCache, SweepEngine};
+use bevra_engine::{Architecture, CacheMode, ExecMode, Store, SweepEngine};
 use bevra_load::{Algebraic, Geometric, Poisson, Tabulated, PAPER_MEAN_LOAD};
 use bevra_utility::AdaptiveExp;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -150,21 +150,21 @@ fn kernel_sweeps(c: &mut Criterion) {
         });
     });
 
-    // Warm persistent cache: one cold run stores the value table, then
+    // Warm value-table cache: one cold run stores the value table, then
     // every iteration is a fresh engine loading it from disk.
     let dir = std::env::temp_dir().join(format!("bevra-bench-pcache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let pcache = || PersistentCache::new(&dir, CacheMode::ReadWrite);
+    let pcache = || Store::new(&dir, CacheMode::ReadWrite);
     SweepEngine::with_mode(model(), ExecMode::Serial)
         .with_kernel(PiEval::Fast)
-        .with_persistent_cache(pcache())
+        .with_store(pcache())
         .prime(&cs);
     c.bench_function("kernel_sweep_warm_cache", |b| {
         b.points(n);
         b.iter(|| {
             let eng = SweepEngine::with_mode(model(), ExecMode::Serial)
                 .with_kernel(PiEval::Fast)
-                .with_persistent_cache(pcache());
+                .with_store(pcache());
             eng.prime(black_box(&cs));
         });
     });

@@ -20,10 +20,10 @@
 //!    fails leaving nothing behind, never a truncated file;
 //! 5. **determinism** — re-running the same case seed reproduces the
 //!    health ledger and every outcome bit pattern;
-//! 6. **cache transparency** — the persistent value-table cache under
-//!    injected load/store I/O faults degrades to recompute: cold and
-//!    warm cached sweeps reproduce the uncached sweep bit for bit, and
-//!    absorbed faults only ever cost time, never numbers.
+//! 6. **cache transparency** — the on-disk store (value-table cache plus
+//!    sweep checkpoints) under injected load/store I/O faults degrades to
+//!    recompute: cold and warm stored sweeps reproduce the uncached sweep
+//!    bit for bit, and absorbed faults only ever cost time, never numbers.
 //!
 //! Invariants 1, 2 and 6 run once per **kernel backend**
 //! ([`bevra_core::PiEval::ALL`]): each backend's checked sweep must
@@ -40,13 +40,13 @@
 use crate::scenario::{Scenario, ScenarioStrategy};
 use crate::strategy::Strategy;
 use bevra_core::{DiscreteModel, PiEval};
-use bevra_engine::{CacheMode, CheckedSweep, PersistentCache, PointOutcome, SweepEngine};
+use bevra_engine::{CacheMode, CheckedSweep, Kind, PointOutcome, Store, SweepEngine};
 use bevra_faults::{install, FaultKind, FaultPlan, FaultRule, PANIC_MARKER};
 use bevra_report::persist::{load_figure, save_figure};
 use bevra_report::series::{Figure, Panel, Series};
 use bevra_sim::{
-    ckpt::FleetCheckpoint, Discipline, Fleet, FleetConfig, HoldingDist, MixedPoisson,
-    QueueKind, SimConfig, SimError, Simulation,
+    Discipline, Fleet, FleetConfig, HoldingDist, MixedPoisson, QueueKind, SimConfig, SimError,
+    Simulation,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -320,8 +320,9 @@ pub fn run_case(case_seed: u64) -> Result<ChaosStats, String> {
     stats.degraded += checked.health.degraded;
 
     // Invariants 1 + 2 + 6, per backend. Every backend's checked sweep
-    // must complete with exact accounting, and the persistent value-table
-    // cache must be transparent under the active plan: injection
+    // must complete with exact accounting, and the on-disk store — its
+    // value-table cache and sweep checkpoints — must be transparent under
+    // the active plan: injection
     // decisions are pure functions of (plan seed, site, key), so a cold
     // cached sweep (compute + store, possibly fault-blocked) and a warm
     // cached sweep (load, possibly degraded to recompute) must both
@@ -348,7 +349,7 @@ pub fn run_case(case_seed: u64) -> Result<ChaosStats, String> {
             let cached =
                 SweepEngine::new(DiscreteModel::new(load.clone(), Arc::clone(&utility)))
                     .with_kernel(kernel)
-                    .with_persistent_cache(PersistentCache::new(&cache_dir, CacheMode::ReadWrite));
+                    .with_store(Store::new(&cache_dir, CacheMode::ReadWrite));
             let swept = cached.sweep_checked(&cs);
             if outcome_bits(&swept) != outcome_bits(&base) {
                 return Err(fail(format!(
@@ -357,9 +358,7 @@ pub fn run_case(case_seed: u64) -> Result<ChaosStats, String> {
                 )));
             }
             stats.cache_sweeps += 1;
-            stats.cache_io_errors += cached
-                .persistent_cache()
-                .map_or(0, bevra_engine::PersistentCache::io_errors);
+            stats.cache_io_errors += cached.store().map_or(0, |s| s.stats(Kind::Grid).io_errors);
         }
         let _ = std::fs::remove_dir_all(&cache_dir);
     }
@@ -614,7 +613,7 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
     let killed = {
         let _guard = install(plan);
         let doomed = Fleet::new(cfg.clone())
-            .with_checkpoint(FleetCheckpoint::new(&ckpt_dir, CacheMode::ReadWrite));
+            .with_checkpoint(Store::new(&ckpt_dir, CacheMode::ReadWrite));
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             doomed.run_on(shards, QueueKind::Wheel)
         }))
@@ -622,12 +621,11 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
     if killed.is_ok() {
         return Err(fail("the fleet-ckpt kill site did not abort the run".into()));
     }
-    let resumed_fleet = Fleet::new(cfg)
-        .with_checkpoint(FleetCheckpoint::new(&ckpt_dir, CacheMode::ReadWrite));
+    let resumed_fleet =
+        Fleet::new(cfg).with_checkpoint(Store::new(&ckpt_dir, CacheMode::ReadWrite));
     let resumed = resumed_fleet.run_on(shards, QueueKind::Wheel);
-    let restored = resumed_fleet
-        .checkpoint_store()
-        .map_or(0, bevra_sim::ckpt::FleetCheckpoint::restored_lanes);
+    let restored =
+        resumed_fleet.checkpoint_store().map_or(0, |s| s.stats(Kind::Fleet).restored);
     if restored == 0 {
         return Err(fail("resume restored nothing from the checkpoint".into()));
     }

@@ -67,18 +67,6 @@ pub fn ensure(cond: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
     }
 }
 
-/// FNV-1a over the property name: a stable default master seed, so a
-/// property's case sequence does not change when unrelated properties are
-/// added or reordered.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Parse a seed value in decimal or `0x…` hexadecimal.
 fn parse_seed(raw: &str) -> Option<u64> {
     let t = raw.trim();
@@ -108,7 +96,10 @@ impl Checker {
         let seed = std::env::var(SEED_ENV)
             .ok()
             .and_then(|v| parse_seed(&v))
-            .unwrap_or_else(|| fnv1a(name));
+            // FNV-1a over the name: a stable default master seed, so a
+            // property's case sequence does not change when unrelated
+            // properties are added or reordered.
+            .unwrap_or_else(|| bevra_engine::ledger::fnv1a(name.as_bytes()));
         Self { name: name.to_string(), cases: default_cases(), seed, max_shrink_steps: 400 }
     }
 

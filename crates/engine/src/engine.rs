@@ -2,18 +2,21 @@
 //! capacity and price sweeps.
 
 use crate::cache::{f64_key, CacheStats, ShardedCache};
-use crate::checkpoint::{CheckpointStore, BATCH_POINTS};
 use crate::instrument::{span, SweepHealth};
-use crate::persist::{grid_key, GridRow, PersistentCache};
+use crate::ledger::fnv1a;
 use crate::pool::{
     compute_retry_policy, parallel_map_supervised, parallel_map_with, thread_count, ItemError,
 };
+use crate::store::{hex_f64, Fields, Kind, Record, Store};
+use bevra_core::kernel::{KernelCapability, ParityClass};
 use bevra_core::welfare::SampledValue;
 use bevra_core::{equalizing_price_ratio, sweep_grid_fused, DiscreteModel, PiEval};
+use bevra_faults::FaultKind;
 use bevra_num::{brent, expand_bracket_up, NumError, NumResult};
 use bevra_obs::{enabled, metrics, ObsLevel};
 use bevra_resilience::Deadline;
 use bevra_utility::Utility;
+use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Time one grid-point evaluation into `hist` when per-point timing is on
@@ -85,12 +88,175 @@ pub struct SweepPoint {
     pub bandwidth_gap: f64,
 }
 
+/// Checkpoint rows: `C`, `B`, `R`, `δ`, `Δ` as bit patterns.
+impl Record for SweepPoint {
+    const KIND: Kind = Kind::Sweep;
+
+    fn encode(&self, line: &mut String) {
+        let _ = write!(
+            line,
+            "{:016x} {:016x} {:016x} {:016x} {:016x}",
+            self.capacity.to_bits(),
+            self.best_effort.to_bits(),
+            self.reservation.to_bits(),
+            self.performance_gap.to_bits(),
+            self.bandwidth_gap.to_bits(),
+        );
+    }
+
+    fn decode(fields: &mut Fields<'_>) -> Option<Self> {
+        Some(Self {
+            capacity: hex_f64(fields)?,
+            best_effort: hex_f64(fields)?,
+            reservation: hex_f64(fields)?,
+            performance_gap: hex_f64(fields)?,
+            bandwidth_gap: hex_f64(fields)?,
+        })
+    }
+}
+
+/// One primed value-table row: `k_max`, `B` and `R` at a capacity — what
+/// the store's [`Kind::Grid`] entries hold, one row per grid point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GridRow {
+    /// Capacity `C`.
+    pub capacity: f64,
+    /// Admission threshold `k_max(C)`.
+    pub k_max: Option<u64>,
+    /// Normalized best-effort utility `B(C)`.
+    pub best_effort: f64,
+    /// Normalized reservation utility `R(C)`.
+    pub reservation: f64,
+}
+
+/// Value-table rows: `C`, `k_max` (decimal, `-` for none), `B`, `R`.
+impl Record for GridRow {
+    const KIND: Kind = Kind::Grid;
+
+    fn encode(&self, line: &mut String) {
+        let km = self.k_max.map_or_else(|| "-".to_string(), |k| k.to_string());
+        let _ = write!(
+            line,
+            "{:016x} {km} {:016x} {:016x}",
+            self.capacity.to_bits(),
+            self.best_effort.to_bits(),
+            self.reservation.to_bits(),
+        );
+    }
+
+    fn decode(fields: &mut Fields<'_>) -> Option<Self> {
+        Some(Self {
+            capacity: hex_f64(fields)?,
+            k_max: match fields.next()? {
+                "-" => None,
+                k => Some(k.parse().ok()?),
+            },
+            best_effort: hex_f64(fields)?,
+            reservation: hex_f64(fields)?,
+        })
+    }
+}
+
+/// Fixed probe bandwidths hashed into the utility fingerprint. Chosen to
+/// straddle every regime the families distinguish (near-zero curvature,
+/// thresholds around 1, saturation): two utilities that agree in name and
+/// on all probes to the bit are treated as identical.
+const PROBES: [f64; 16] = [
+    0.0, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 13.0, 144.0,
+];
+
+/// Content-hash key for one (model, kernel capability, grid) combination:
+/// the store key of its value-table rows and of its sweep checkpoint.
+///
+/// Hashes the load digest, mean load, utility fingerprint (name, probed
+/// values, knots), admission-cap override, the result-affecting slice of
+/// the backend's [`KernelCapability`], and every grid capacity's bit
+/// pattern.
+///
+/// Of the capability record only the fields that can change result *bits*
+/// enter the key: the `cache_tag`, the parity class (including a
+/// tolerance's bit pattern), and the `portable` flag. The name and SIMD
+/// level are deliberately excluded — SIMD tiers produce identical bits —
+/// and the per-backend keys are pinned (`tests/kernel_registry.rs`), so
+/// existing cache entries stay valid across capability edits.
+#[must_use]
+pub fn grid_key<U: Utility>(
+    model: &DiscreteModel<U>,
+    capability: &KernelCapability,
+    capacities: &[f64],
+) -> u64 {
+    let le = |v: u64| v.to_le_bytes();
+    let u = model.utility();
+    let mut bytes: Vec<u8> = Kind::Grid.tag().bytes().collect();
+    bytes.extend(le(model.load().digest()));
+    bytes.extend(le(model.mean_load().to_bits()));
+    bytes.extend(u.name().bytes());
+    for v in PROBES.iter().map(|&b| u.value(b)).chain(u.knots()) {
+        bytes.extend(le(v.to_bits()));
+    }
+    match model.admission_cap() {
+        Some(cap) => {
+            bytes.extend(le(1));
+            bytes.extend(le(cap));
+        }
+        None => bytes.extend(le(0)),
+    }
+    bytes.push(capability.cache_tag);
+    match capability.parity {
+        ParityClass::Bitwise => bytes.extend(le(0)),
+        ParityClass::Tolerance(t) => {
+            bytes.extend(le(1));
+            bytes.extend(le(t.to_bits()));
+        }
+    }
+    bytes.push(u8::from(capability.portable));
+    bytes.extend(le(capacities.len() as u64));
+    for &c in capacities {
+        bytes.extend(le(c.to_bits()));
+    }
+    fnv1a(&bytes)
+}
+
+/// True when the active fault plan can corrupt computed values — the
+/// value-table cache must then neither serve nor record anything.
+fn plan_corrupts_values() -> bool {
+    bevra_faults::current_plan().is_some_and(|plan| {
+        plan.rules
+            .iter()
+            .any(|r| matches!(r.kind, FaultKind::Nan | FaultKind::Inf | FaultKind::NumErr))
+    })
+}
+
+/// Grid points per checkpoint batch: [`SweepEngine::sweep_checked`]
+/// persists completed points and crosses the `engine/ckpt-batch` kill
+/// site once per this many points.
+pub const BATCH_POINTS: usize = 32;
+
 /// What one attempt at a grid point produced, before outcome mapping.
 enum PointEval {
     /// The point evaluated; the optional string is a gap-solver cause.
     Done(SweepPoint, Option<String>),
     /// The ambient deadline expired before this point was evaluated.
     DeadlineSkipped,
+}
+
+/// The clean points of a checked sweep's slots — evaluated fully finite
+/// with no solver degradation — which are all a checkpoint records:
+/// degraded points are re-evaluated (to the same bits and causes) on
+/// resume, so restoring never changes a health ledger.
+fn clean_points(
+    slots: &[Option<Result<PointEval, ItemError>>],
+) -> impl Iterator<Item = (usize, &SweepPoint)> {
+    slots.iter().enumerate().filter_map(|(i, slot)| match slot {
+        Some(Ok(PointEval::Done(pt, None)))
+            if [pt.best_effort, pt.reservation, pt.performance_gap, pt.bandwidth_gap]
+                .iter()
+                .all(|v| v.is_finite()) =>
+        {
+            Some((i, pt))
+        }
+        _ => None,
+    })
 }
 
 /// What one grid point of a checked sweep produced.
@@ -179,8 +345,7 @@ pub struct SweepEngine<U: Utility> {
     model: DiscreteModel<U>,
     mode: ExecMode,
     kernel: PiEval,
-    persist: Option<PersistentCache>,
-    ckpt: Option<CheckpointStore>,
+    store: Option<Store>,
     kmax: ShardedCache<Option<u64>>,
     b: ShardedCache<f64>,
     r: ShardedCache<f64>,
@@ -202,20 +367,17 @@ impl<U: Utility> SweepEngine<U> {
     }
 
     /// Engine with an explicit execution mode. The kernel backend comes
-    /// from `BEVRA_KERNEL`, the persistent cache from
-    /// `BEVRA_CACHE` (see [`crate::registry::from_env`] and
-    /// [`PersistentCache::from_env`]), and the crash-safe sweep
-    /// checkpoint store from `BEVRA_CHECKPOINT`
-    /// ([`CheckpointStore::from_env`]); all can be overridden with the
-    /// builder methods.
+    /// from `BEVRA_KERNEL` ([`crate::registry::from_env`]) and the on-disk
+    /// store — value-table cache plus crash-safe sweep checkpoints — from
+    /// `BEVRA_CACHE` ([`Store::from_env`]); both can be overridden with
+    /// the builder methods.
     #[must_use]
     pub fn with_mode(model: DiscreteModel<U>, mode: ExecMode) -> Self {
         Self {
             model,
             mode,
             kernel: crate::registry::from_env(),
-            persist: PersistentCache::from_env(),
-            ckpt: CheckpointStore::from_env("bevra-engine"),
+            store: Store::from_env("bevra-engine"),
             kmax: ShardedCache::new(),
             b: ShardedCache::new(),
             r: ShardedCache::new(),
@@ -229,26 +391,19 @@ impl<U: Utility> SweepEngine<U> {
         self
     }
 
-    /// Attach an explicit persistent cache (builder style), replacing
-    /// whatever `BEVRA_CACHE` configured.
+    /// Attach an explicit on-disk store (builder style), replacing
+    /// whatever `BEVRA_CACHE` configured. It caches primed value tables
+    /// and checkpoints [`Self::sweep_checked`].
     #[must_use]
-    pub fn with_persistent_cache(mut self, cache: PersistentCache) -> Self {
-        self.persist = Some(cache);
+    pub fn with_store(mut self, store: Store) -> Self {
+        self.store = Some(store);
         self
     }
 
-    /// Attach an explicit crash-safe checkpoint store (builder style),
-    /// replacing whatever `BEVRA_CHECKPOINT` configured.
-    #[must_use]
-    pub fn with_checkpoints(mut self, store: CheckpointStore) -> Self {
-        self.ckpt = Some(store);
-        self
-    }
-
-    /// The attached checkpoint store, if any (for inspecting its
-    /// restored/store counters after a sweep).
-    pub fn checkpoint_store(&self) -> Option<&CheckpointStore> {
-        self.ckpt.as_ref()
+    /// The attached store, if any (for inspecting its counters after a
+    /// sweep).
+    pub fn store(&self) -> Option<&Store> {
+        self.store.as_ref()
     }
 
     /// The wrapped model.
@@ -266,20 +421,14 @@ impl<U: Utility> SweepEngine<U> {
         self.kernel
     }
 
-    /// The attached persistent cache, if any (for inspecting its
-    /// counters after a sweep).
-    pub fn persistent_cache(&self) -> Option<&PersistentCache> {
-        self.persist.as_ref()
-    }
-
     /// Prime the memo tables for a capacity grid with the active kernel
     /// backend.
     ///
     /// Non-finite and nonpositive capacities are left to the scalar path;
     /// the rest are sorted, deduplicated, filtered to what is not already
-    /// memoized, then either loaded from the persistent cache (keyed by
-    /// the backend's capability record, so cached rows never cross parity
-    /// classes) or computed by the fused grid traversal — in
+    /// memoized, then either loaded from the store's value-table cache
+    /// (keyed by [`grid_key`], so cached rows never cross parity classes)
+    /// or computed by the fused grid traversal — in
     /// parallel contiguous chunks under [`ExecMode::Parallel`] — and
     /// inserted. Bitwise-class backends mirror the scalar path exactly;
     /// tolerance-class backends are deterministic within their documented
@@ -306,20 +455,26 @@ impl<U: Utility> SweepEngine<U> {
         }
 
         metrics::counter(&format!("engine/kernel/{}/primes", cap.name)).inc();
-        if let Some(pc) = &self.persist {
-            let key = grid_key(&self.model, &cap, &cs);
-            if let Some(rows) = pc.load(key, &cs) {
-                self.insert_rows(&cs, &rows);
+        // Under a value-corrupting fault plan the cache is bypassed
+        // entirely: injected corruption must stay inside one run and never
+        // leak into — or out of — a cross-run store.
+        let cached = self
+            .store
+            .as_ref()
+            .filter(|_| !plan_corrupts_values())
+            .map(|store| (store, grid_key(&self.model, &cap, &cs)));
+        if let Some((store, key)) = cached {
+            let fits = |i: usize, row: &GridRow| row.capacity.to_bits() == cs[i].to_bits();
+            if let Some(rows) = store.load(key, cs.len(), fits) {
+                self.insert_rows(&rows);
                 return;
             }
-            if let Some(rows) = self.compute_rows(&cs) {
-                self.insert_rows(&cs, &rows);
-                pc.store(key, &cs, &rows);
-            }
-            return;
         }
         if let Some(rows) = self.compute_rows(&cs) {
-            self.insert_rows(&cs, &rows);
+            self.insert_rows(&rows);
+            if let Some((store, key)) = cached {
+                store.store(key, &rows);
+            }
         }
     }
 
@@ -337,12 +492,17 @@ impl<U: Utility> SweepEngine<U> {
                 // returns the smallest maximizer regardless of the carry,
                 // so chunking never changes bits.
                 let sweep = sweep_grid_fused(&self.model, chunk, kernel);
-                sweep
-                    .k_max
-                    .into_iter()
+                chunk
+                    .iter()
+                    .zip(sweep.k_max)
                     .zip(sweep.best_effort)
                     .zip(sweep.reservation)
-                    .map(|((k, b), r)| (k, b, r))
+                    .map(|(((&capacity, k_max), best_effort), reservation)| GridRow {
+                        capacity,
+                        k_max,
+                        best_effort,
+                        reservation,
+                    })
                     .collect::<Vec<GridRow>>()
             });
             parts.into_iter().flatten().collect::<Vec<GridRow>>()
@@ -356,12 +516,12 @@ impl<U: Utility> SweepEngine<U> {
         }
     }
 
-    fn insert_rows(&self, cs: &[f64], rows: &[GridRow]) {
-        for (&c, &(kmax, b, r)) in cs.iter().zip(rows) {
-            let k = f64_key(c);
-            self.kmax.insert(k, kmax);
-            self.b.insert(k, b);
-            self.r.insert(k, r);
+    fn insert_rows(&self, rows: &[GridRow]) {
+        for row in rows {
+            let k = f64_key(row.capacity);
+            self.kmax.insert(k, row.k_max);
+            self.b.insert(k, row.best_effort);
+            self.r.insert(k, row.reservation);
         }
     }
 
@@ -447,8 +607,8 @@ impl<U: Utility> SweepEngine<U> {
     /// * **deadline** — the ambient `BEVRA_DEADLINE_MS` deadline is
     ///   checked at sweep-point granularity; points skipped after expiry
     ///   degrade to [`PointOutcome::Failed`] with a deadline cause.
-    /// * **checkpointing** — with a [`CheckpointStore`] attached
-    ///   (`BEVRA_CHECKPOINT=rw`), completed clean points are persisted
+    /// * **checkpointing** — with a [`Store`] attached
+    ///   (`BEVRA_CACHE=rw`), completed clean points are persisted
     ///   every [`BATCH_POINTS`] grid points and restored bitwise on the
     ///   next run over the same key, so a killed sweep resumes instead of
     ///   recomputing; a fully clean sweep clears its checkpoint. The
@@ -498,57 +658,39 @@ impl<U: Utility> SweepEngine<U> {
         };
 
         let mut slots: Vec<Option<Result<PointEval, ItemError>>> = (0..n).map(|_| None).collect();
+        let ckpt = self.store.as_ref().map(|store| {
+            (store, grid_key(&self.model, &self.kernel.capability(), capacities))
+        });
+        if let Some((store, key)) = ckpt {
+            for (slot, pt) in slots.iter_mut().zip(store.restore::<SweepPoint>(key, n)) {
+                *slot = pt.map(|pt| Ok(PointEval::Done(pt, None)));
+            }
+        }
+        let batch_len = if ckpt.is_some() { BATCH_POINTS } else { n.max(1) };
         let mut retries_total = 0u64;
-        if let Some(cs) = &self.ckpt {
-            let key = grid_key(&self.model, &self.kernel.capability(), capacities);
-            for (i, pt) in cs.load(key, n).into_iter().enumerate() {
-                if let Some(pt) = pt {
-                    slots[i] = Some(Ok(PointEval::Done(pt, None)));
+        for (batch_idx, batch) in indexed.chunks(batch_len).enumerate() {
+            let todo: Vec<(usize, f64)> =
+                batch.iter().filter(|(i, _)| slots[*i].is_none()).copied().collect();
+            if !todo.is_empty() {
+                let (results, retries) = parallel_map_supervised(&todo, threads, &policy, eval);
+                retries_total += retries;
+                for ((i, _), r) in todo.iter().zip(results) {
+                    slots[*i] = Some(r);
+                }
+                if let Some((store, key)) = ckpt {
+                    store.checkpoint(key, n, clean_points(&slots));
                 }
             }
-            let is_clean = |pt: &SweepPoint| {
-                [pt.best_effort, pt.reservation, pt.performance_gap, pt.bandwidth_gap]
-                    .iter()
-                    .all(|v| v.is_finite())
-            };
-            let mut clean: Vec<(usize, SweepPoint)> = slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| match s {
-                    Some(Ok(PointEval::Done(pt, None))) if is_clean(pt) => Some((i, *pt)),
-                    _ => None,
-                })
-                .collect();
-            for (batch_idx, batch) in indexed.chunks(BATCH_POINTS).enumerate() {
-                let todo: Vec<(usize, f64)> =
-                    batch.iter().filter(|(i, _)| slots[*i].is_none()).copied().collect();
-                if !todo.is_empty() {
-                    let (results, retries) =
-                        parallel_map_supervised(&todo, threads, &policy, eval);
-                    retries_total += retries;
-                    for ((i, _), r) in todo.iter().zip(results) {
-                        if let Ok(PointEval::Done(pt, None)) = &r {
-                            if is_clean(pt) {
-                                clean.push((*i, *pt));
-                            }
-                        }
-                        slots[*i] = Some(r);
-                    }
-                    cs.store(key, n, &clean);
-                }
+            if ckpt.is_some() {
                 // Kill site: a `panic:engine/ckpt-batch` rule crashes the
                 // sweep *between* batches — everything evaluated so far is
                 // already on disk, so the next run resumes from here.
                 bevra_faults::panic_point("engine/ckpt-batch", batch_idx as u64);
             }
-            if clean.len() == n {
-                cs.clear(key);
-            }
-        } else {
-            let (results, retries) = parallel_map_supervised(&indexed, threads, &policy, eval);
-            retries_total += retries;
-            for (slot, r) in slots.iter_mut().zip(results) {
-                *slot = Some(r);
+        }
+        if let Some((store, key)) = ckpt {
+            if clean_points(&slots).count() == n {
+                store.clear(Kind::Sweep, key);
             }
         }
 
@@ -702,16 +844,18 @@ impl<U: Utility> SweepEngine<U> {
         (out, health)
     }
 
-    /// Hit/miss counters of the three memo tables — plus the persistent
-    /// cross-run cache, when one is attached — named for reports.
+    /// Hit/miss counters of the three memo tables — plus the store's
+    /// cross-run value-table cache, when one is attached — named for
+    /// reports.
     pub fn cache_stats(&self) -> Vec<(String, CacheStats)> {
         let mut out = vec![
             ("k_max".into(), self.kmax.stats()),
             ("best_effort".into(), self.b.stats()),
             ("reservation".into(), self.r.stats()),
         ];
-        if let Some(pc) = &self.persist {
-            out.push(("persistent".into(), pc.stats()));
+        if let Some(store) = &self.store {
+            let s = store.stats(Kind::Grid);
+            out.push(("persistent".into(), CacheStats { hits: s.hits, misses: s.misses }));
         }
         out
     }
@@ -845,83 +989,22 @@ mod tests {
     }
 
     #[test]
-    fn persistent_cache_warm_run_hits_everything() {
-        let dir = std::env::temp_dir()
-            .join(format!("bevra-engine-pcache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cs = grid();
-
-        // Cold run: computes and stores.
-        let cold = poisson_engine(ExecMode::Serial).with_persistent_cache(
-            crate::persist::PersistentCache::new(&dir, crate::persist::CacheMode::ReadWrite),
-        );
-        let first = cold.sweep(&cs);
-        let cold_stats = cold.cache_stats();
-        let (_, pc) = cold_stats.iter().find(|(n, _)| n == "persistent").expect("pcache stats");
-        assert_eq!((pc.hits, pc.misses), (0, 1), "cold run misses once");
-
-        // Warm run in a fresh engine (empty memo tables): loads instead of
-        // computing, with bitwise-identical sweep output.
-        let warm = poisson_engine(ExecMode::Serial).with_persistent_cache(
-            crate::persist::PersistentCache::new(&dir, crate::persist::CacheMode::ReadWrite),
-        );
-        let second = warm.sweep(&cs);
-        let warm_stats = warm.cache_stats();
-        let (_, pw) = warm_stats.iter().find(|(n, _)| n == "persistent").expect("pcache stats");
-        assert_eq!((pw.hits, pw.misses), (1, 0), "warm run is a pure hit");
-        assert!((pw.hit_rate() - 1.0).abs() < 1e-15, "hit rate gauge is 100%");
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.best_effort.to_bits(), b.best_effort.to_bits());
-            assert_eq!(a.reservation.to_bits(), b.reservation.to_bits());
-            assert_eq!(a.bandwidth_gap.to_bits(), b.bandwidth_gap.to_bits());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpointed_sweep_resumes_bitwise_after_kill() {
-        use crate::checkpoint::CheckpointStore;
-        use crate::persist::CacheMode;
-        use bevra_faults::{install, FaultKind, FaultPlan, FaultRule};
-        let dir = std::env::temp_dir()
-            .join(format!("bevra-engine-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // 40 points → two checkpoint batches of 32 + 8.
-        let cs: Vec<f64> = (1..=40).map(|i| f64::from(i) * 7.0).collect();
-        let reference = poisson_engine(ExecMode::Serial).sweep(&cs);
-
-        // Interrupted run: the kill site fires after batch 0 is stored.
-        let killed_engine = poisson_engine(ExecMode::Serial)
-            .with_checkpoints(CheckpointStore::new(&dir, CacheMode::ReadWrite));
-        let plan = FaultPlan::seeded(0)
-            .rule(FaultRule::at_key(FaultKind::Panic, "engine/ckpt-batch", 0));
-        {
-            silence_injected_panics();
-            let _guard = install(plan);
-            let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                killed_engine.sweep_checked(&cs)
-            }));
-            assert!(killed.is_err(), "the ckpt-batch kill site must fire");
-        }
-        assert!(
-            killed_engine.checkpoint_store().is_some_and(|s| s.stores() >= 1),
-            "batch 0 was checkpointed before the kill"
-        );
-
-        // Resumed run: restores batch 0 bitwise and completes the rest.
-        let resumed_engine = poisson_engine(ExecMode::Serial)
-            .with_checkpoints(CheckpointStore::new(&dir, CacheMode::ReadWrite));
-        let resumed = resumed_engine.sweep_checked(&cs);
-        let store = resumed_engine.checkpoint_store().expect("store attached");
-        assert_eq!(store.restored_points(), 32, "first batch restored from disk");
-        assert!(resumed.health.is_clean(), "resume is clean: {}", resumed.health);
-        for (a, b) in reference.iter().zip(resumed.points()) {
-            assert_eq!(a.best_effort.to_bits(), b.best_effort.to_bits());
-            assert_eq!(a.reservation.to_bits(), b.reservation.to_bits());
-            assert_eq!(a.performance_gap.to_bits(), b.performance_gap.to_bits());
-            assert_eq!(a.bandwidth_gap.to_bits(), b.bandwidth_gap.to_bits());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+    fn grid_key_separates_models_and_grids() {
+        let load = Tabulated::from_model(&Poisson::new(20.0), 1e-12, 1 << 10);
+        let m1 = DiscreteModel::new(load.clone(), Rigid::unit());
+        let m2 = DiscreteModel::new(load.clone(), Rigid::new(2.0));
+        let m3 = DiscreteModel::new(load.clone(), AdaptiveExp::paper());
+        let caps = [1.0, 2.0, 3.0];
+        let batch = PiEval::Exact.capability();
+        let fast = PiEval::Fast.capability();
+        let k1 = grid_key(&m1, &batch, &caps);
+        assert_eq!(k1, grid_key(&m1, &batch, &caps), "key is deterministic");
+        assert_ne!(k1, grid_key(&m2, &batch, &caps), "utility params re-key");
+        assert_ne!(k1, grid_key(&m3, &batch, &caps), "utility family re-keys");
+        assert_ne!(k1, grid_key(&m1, &fast, &caps), "parity class re-keys");
+        assert_ne!(k1, grid_key(&m1, &batch, &caps[..2]), "grid re-keys");
+        let capped = DiscreteModel::new(load, Rigid::unit()).with_admission_cap(5);
+        assert_ne!(k1, grid_key(&capped, &batch, &caps), "admission cap re-keys");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! # Durability
 //!
-//! Appends go through [`crate::persist::append_line`]: `O_APPEND` plus a
+//! Appends go through one `append_line` helper: `O_APPEND` plus a
 //! single `write_all`, so concurrent runs interleave at line granularity.
 //! Each line ends in a `"crc"` field — FNV-1a over everything before it —
 //! so readers detect and skip torn or bit-flipped lines instead of
@@ -28,8 +28,9 @@ pub const LEDGER_SCHEMA: &str = "bevra-ledger-v1";
 pub const LEDGER_FILE: &str = "ledger.jsonl";
 
 /// FNV-1a over a byte slice — the workspace's standard content hash (the
-/// same constants as the fault-plan and persistent-cache hashers). Used
-/// for the ledger's per-line CRC, run fingerprints, and result digests.
+/// same constants as the fault-plan hasher). Used for the ledger's
+/// per-line CRC, run fingerprints, result digests, and the on-disk
+/// store's keys and entry checksums.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -152,11 +153,82 @@ impl LedgerRecord {
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::persist::append_line`] failures — callers on
-    /// the emit path log and swallow these (a run that can't reach its
-    /// ledger still produces its artifacts).
+    /// The I/O error left once the workspace I/O retry policy is
+    /// exhausted — callers on the emit path log and swallow these (a run
+    /// that can't reach its ledger still produces its artifacts).
     pub fn append(&self, path: &Path) -> std::io::Result<()> {
-        crate::persist::append_line("ledger/append", path, &self.to_line())
+        append_line("ledger/append", path, &self.to_line())
+    }
+}
+
+/// Append `line` plus a newline to a shared JSONL file (the run ledger).
+///
+/// The file is opened in append mode (`O_APPEND` on POSIX) and the whole
+/// line with its newline lands in a **single**
+/// `write_all`, so concurrent appenders from different threads or
+/// processes interleave at line granularity: each line is contiguous in
+/// the file short of a mid-write crash, which a per-line checksum (the
+/// ledger's `crc` field) lets readers skip as a torn line.
+///
+/// `site` is a fault-injection site consulted per attempt as `io/<site>`,
+/// like [`bevra_faults::atomic_write`]: transient faults are retried
+/// under the workspace I/O retry policy
+/// ([`bevra_resilience::RetryPolicy::io`], overridable with
+/// `BEVRA_RETRY`), waiting on the ambient fault-aware clock
+/// (virtual-clock, sleep-free, whenever a fault plan is active);
+/// permanent ones surface as errors.
+///
+/// # Errors
+///
+/// The last I/O error once retries are exhausted, or the first
+/// non-transient error opening, creating the parent directory for, or
+/// writing the file.
+fn append_line(site: &str, path: &Path, line: &str) -> std::io::Result<()> {
+    use bevra_resilience::RetryPolicy;
+    use std::io::Write as _;
+
+    let buf = format!("{line}\n");
+    if let Some(dir) = path.parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir)?;
+        }
+    }
+    let full_site = format!("io/{site}");
+    let policy = RetryPolicy::from_env("bevra-engine", RetryPolicy::io());
+    let mut clock = bevra_resilience::ambient_clock();
+    let attempt_once = |attempt: u32| -> Result<(), std::io::Error> {
+        match bevra_faults::io_fault(&full_site, u64::from(attempt)) {
+            Some(bevra_faults::IoFault::Transient) => Err(std::io::Error::new(
+                std::io::ErrorKind::Interrupted,
+                format!("bevra-faults: injected transient I/O error at {full_site}"),
+            )),
+            Some(bevra_faults::IoFault::Permanent) => Err(std::io::Error::other(format!(
+                "bevra-faults: injected permanent I/O error at {full_site}"
+            ))),
+            None => std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .and_then(|mut f| f.write_all(buf.as_bytes())),
+        }
+    };
+    let schedule = policy.schedule();
+    let mut attempt: u32 = 0;
+    loop {
+        match attempt_once(attempt) {
+            Ok(()) => return Ok(()),
+            Err(e)
+                if (attempt as usize) < schedule.len()
+                    && matches!(
+                        e.kind(),
+                        std::io::ErrorKind::Interrupted | std::io::ErrorKind::WouldBlock
+                    ) =>
+            {
+                clock.sleep_ms(schedule[attempt as usize]);
+                attempt += 1;
+            }
+            Err(e) => return Err(e),
+        }
     }
 }
 
@@ -210,12 +282,15 @@ mod tests {
         assert!(r.to_line().contains("\"ns_per_point\":null"));
     }
 
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let d = std::env::temp_dir().join(format!("bevra-ledger-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
+
     #[test]
     fn append_accumulates_lines() {
-        let dir = std::env::temp_dir()
-            .join(format!("bevra-ledger-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join(LEDGER_FILE);
+        let path = tmp_dir("append").join(LEDGER_FILE);
         sample().append(&path).unwrap();
         let mut second = sample();
         second.id = "fig3".into();
@@ -223,6 +298,35 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().nth(1).unwrap().contains("\"id\":\"fig3\""));
+    }
+
+    #[test]
+    fn append_line_rides_out_transient_faults() {
+        use bevra_faults::{install, FaultKind, FaultPlan, FaultRule};
+        let dir = tmp_dir("append-tr");
+        let path = dir.join("ledger.jsonl");
+        let plan = FaultPlan::seeded(0)
+            .rule(FaultRule::always(FaultKind::IoTransient, "io/test/led-tr").with_n(2));
+        {
+            let _guard = install(plan);
+            append_line("test/led-tr", &path, "{\"ok\":true}").unwrap();
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"ok\":true}\n");
+    }
+
+    #[test]
+    fn append_line_permanent_fault_errors_without_writing() {
+        use bevra_faults::{install, FaultKind, FaultPlan, FaultRule};
+        let dir = tmp_dir("append-perm");
+        let path = dir.join("ledger.jsonl");
+        let plan = FaultPlan::seeded(0)
+            .rule(FaultRule::always(FaultKind::IoPermanent, "io/test/led-perm"));
+        {
+            let _guard = install(plan);
+            let err = append_line("test/led-perm", &path, "{\"lost\":true}").unwrap_err();
+            assert!(err.to_string().contains("injected permanent"));
+        }
+        assert!(!path.exists(), "failed append must not create the file");
     }
 
     #[test]

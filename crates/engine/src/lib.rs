@@ -13,16 +13,15 @@
 //!   retries them under a `bevra_resilience::RetryPolicy`
 //!   (`BEVRA_RETRY`-overridable; then a structured [`ItemError`]) so one
 //!   bad grid point degrades instead of aborting the sweep;
-//! * [`checkpoint`] — a crash-safe sweep checkpoint store
-//!   (`BEVRA_CHECKPOINT=rw|ro`): completed grid points are persisted
-//!   batch-wise with atomic writes and restored bitwise on resume, so a
-//!   killed sweep continues instead of recomputing;
 //! * [`cache`] — sharded thread-safe memo tables keyed by capacity bit
 //!   patterns, with hit/miss counters;
-//! * [`persist`] — an on-disk cross-run value-table cache keyed by content
-//!   hashes of (load digest, utility, grid), gated by
-//!   `BEVRA_CACHE=off|rw|ro`, so warm figure regeneration skips the value
-//!   tables entirely (corrupt or missing entries degrade to recompute);
+//! * [`store`] — the content-addressed on-disk [`Store`], gated by
+//!   `BEVRA_CACHE=off|rw|ro` and `BEVRA_CACHE_DIR`: a cross-run
+//!   value-table cache keyed by content hashes of (load digest, utility,
+//!   kernel capability, grid), so warm figure regeneration skips the
+//!   value tables entirely, plus crash-safe checkpoints of sweeps (and of
+//!   `bevra-sim` fleets), so a killed run resumes bitwise instead of
+//!   recomputing. Corrupt or missing entries degrade to recompute;
 //! * [`engine`] — the [`SweepEngine`] tying both to a
 //!   [`bevra_core::DiscreteModel`]: memoized `k_max(C)` tables, `B`/`R`
 //!   evaluations shared between the gap root-finder and the welfare
@@ -88,22 +87,21 @@
 #![deny(missing_docs)]
 
 pub mod cache;
-pub mod checkpoint;
 pub mod engine;
 pub mod instrument;
 pub mod ledger;
-pub mod persist;
 pub mod pool;
 pub mod registry;
+pub mod store;
 
 pub use bevra_core::{KernelCapability, ParityClass, PiEval, SimdLevel};
 pub use cache::{CacheStats, ShardedCache};
-pub use checkpoint::{CheckpointStore, CHECKPOINT_DIR_ENV, CHECKPOINT_ENV};
 pub use engine::{
-    Architecture, CheckedSweep, ExecMode, PointOutcome, SweepEngine, SweepPoint,
+    grid_key, Architecture, CheckedSweep, ExecMode, GridRow, PointOutcome, SweepEngine,
+    SweepPoint,
 };
 pub use ledger::{LedgerRecord, LEDGER_FILE, LEDGER_SCHEMA};
-pub use persist::{append_line, grid_key, CacheMode, GridRow, PersistentCache};
+pub use store::{CacheMode, Kind, Record, Store, StoreStats};
 pub use instrument::{
     drain_caches, drain_health, drain_stages, record_caches, record_health, span, Span,
     StageRecord, SweepHealth, SweepReport,

@@ -5,7 +5,9 @@
 //! memory, write to a sibling temp file, then `rename` onto the final
 //! path. On POSIX the rename is atomic, so an interrupt — real or
 //! injected — leaves either the complete old artifact or the complete
-//! new one on disk, never a truncated hybrid.
+//! new one on disk, never a truncated hybrid. Every write gets its own
+//! temp file, so concurrent writers of one path each land a complete
+//! payload too.
 //!
 //! Transient failures are retried with bounded exponential backoff
 //! driven by a [`Clock`]: production callers sleep for real
@@ -24,6 +26,7 @@
 use crate::IoFault;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File operations behind [`atomic_write_with`], substitutable in tests.
 pub trait Writer {
@@ -174,16 +177,20 @@ pub struct WriteOutcome {
     pub backoff_ms: u64,
 }
 
-/// Temp-file path used by [`atomic_write`] for `path`: a sibling named
-/// `<file>.tmp` (same directory, so the final rename never crosses a
-/// filesystem boundary).
-#[must_use]
-pub fn temp_path(path: &Path) -> PathBuf {
+/// Temp-file path for one write of `path`: a sibling (same directory, so
+/// the final rename never crosses a filesystem boundary) named
+/// `<file>.tmp<pid>-<n>`, with `n` a process-wide write counter. Unique
+/// per write, so two writers of one path — threads or processes — never
+/// truncate each other's temp file or rename it out from under each
+/// other.
+fn temp_path(path: &Path) -> PathBuf {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let n = WRITES.fetch_add(1, Ordering::Relaxed);
     let mut name = path.file_name().map_or_else(
         || std::ffi::OsString::from("artifact"),
         std::ffi::OsStr::to_os_string,
     );
-    name.push(".tmp");
+    name.push(format!(".tmp{}-{n}", std::process::id()));
     path.with_file_name(name)
 }
 
@@ -274,6 +281,16 @@ mod tests {
         d
     }
 
+    /// True when no `<file>.tmp*` sibling of `path` remains.
+    fn no_temp_debris(path: &Path) -> bool {
+        let mut prefix = path.file_name().unwrap().to_os_string();
+        prefix.push(".tmp");
+        let prefix = prefix.to_string_lossy().into_owned();
+        std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .all(|e| !e.unwrap().file_name().to_string_lossy().starts_with(&prefix))
+    }
+
     #[test]
     fn clean_write_lands_and_removes_temp() {
         let d = tmpdir("clean");
@@ -281,7 +298,7 @@ mod tests {
         let out = atomic_write("test/clean", &p, b"{\"v\":1}").unwrap();
         assert_eq!(out.attempts, 1);
         assert_eq!(std::fs::read(&p).unwrap(), b"{\"v\":1}");
-        assert!(!temp_path(&p).exists());
+        assert!(no_temp_debris(&p));
     }
 
     #[test]
@@ -296,7 +313,7 @@ mod tests {
         assert_eq!(out.attempts, 3, "two injected failures then success");
         assert!(out.backoff_ms > 0, "backoff accounted on the virtual clock");
         assert_eq!(std::fs::read(&p).unwrap(), b"new,complete");
-        assert!(!temp_path(&p).exists());
+        assert!(no_temp_debris(&p));
     }
 
     #[test]
@@ -310,7 +327,7 @@ mod tests {
         let err = atomic_write("test/perm", &p, b"{\"new\": true}").unwrap_err();
         assert!(err.to_string().contains("injected permanent"));
         assert_eq!(std::fs::read(&p).unwrap(), b"{\"old\": true}", "old artifact intact");
-        assert!(!temp_path(&p).exists(), "no truncated temp left behind");
+        assert!(no_temp_debris(&p), "no truncated temp left behind");
     }
 
     #[test]
@@ -322,7 +339,7 @@ mod tests {
         let _guard = install(plan);
         assert!(atomic_write("test/fresh", &p, b"data").is_err());
         assert!(!p.exists(), "failed first write must not create the file");
-        assert!(!temp_path(&p).exists());
+        assert!(no_temp_debris(&p));
     }
 
     #[test]
@@ -337,7 +354,7 @@ mod tests {
         let err = atomic_write("test/ex", &p, b"v2").unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
         assert_eq!(std::fs::read(&p).unwrap(), b"v1");
-        assert!(!temp_path(&p).exists());
+        assert!(no_temp_debris(&p));
     }
 
     #[test]
@@ -351,8 +368,36 @@ mod tests {
     }
 
     #[test]
-    fn temp_path_is_sibling() {
+    fn temp_path_is_a_sibling_unique_per_write() {
         let p = Path::new("/some/dir/fig2.json");
-        assert_eq!(temp_path(p), Path::new("/some/dir/fig2.json.tmp"));
+        let (a, b) = (temp_path(p), temp_path(p));
+        assert_ne!(a, b, "two writes of one path share no temp file");
+        for t in [a, b] {
+            assert_eq!(t.parent(), p.parent());
+            let name = t.file_name().unwrap().to_string_lossy().into_owned();
+            assert!(name.starts_with("fig2.json.tmp"), "{name}");
+        }
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_never_tear_or_fail() {
+        let d = tmpdir("concurrent");
+        let p = d.join("shared.bvc");
+        let payloads = [vec![b'a'; 64 << 10], vec![b'b'; 64 << 10]];
+        let barrier = std::sync::Barrier::new(payloads.len());
+        std::thread::scope(|s| {
+            for payload in &payloads {
+                let (p, barrier, payloads) = (&p, &barrier, &payloads);
+                s.spawn(move || {
+                    barrier.wait();
+                    for _ in 0..500 {
+                        atomic_write("test/concurrent", p, payload).expect("every write lands");
+                        let got = std::fs::read(p).expect("the final path is readable");
+                        assert!(payloads.contains(&got), "a read matched neither payload");
+                    }
+                });
+            }
+        });
+        assert!(no_temp_debris(&p));
     }
 }

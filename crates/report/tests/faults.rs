@@ -49,8 +49,13 @@ fn failed_overwrite_leaves_previous_figure_parseable() {
     save_figure(&newer, &dir).expect_err("injected permanent fault");
     let on_disk = load_figure(&path).expect("old artifact still parses");
     assert_eq!(on_disk, old, "old artifact byte-complete after failed overwrite");
+    let mut temp_prefix = path.file_name().expect("artifact file name").to_os_string();
+    temp_prefix.push(".tmp");
+    let temp_prefix = temp_prefix.to_string_lossy().into_owned();
     assert!(
-        !bevra_faults::io::temp_path(&path).exists(),
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .all(|e| !e.unwrap().file_name().to_string_lossy().starts_with(&temp_prefix)),
         "no truncated temp file left behind"
     );
 }

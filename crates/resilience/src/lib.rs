@@ -31,7 +31,7 @@
 //! |---|---|
 //! | `BEVRA_RETRY` | override a retry policy: `attempts=4,base=1,max=50,budget=200,seed=7` |
 //! | `BEVRA_DEADLINE_MS` | cooperative deadline for sweeps and simulations |
-//! | `BEVRA_CHECKPOINT` | checkpoint/resume mode (`rw`/`ro`, read by `bevra-engine`/`bevra-sim`) |
+//! | `BEVRA_CACHE` | on-disk store mode (`rw`/`ro`): value-table cache plus checkpoint/resume, read by `bevra-engine`/`bevra-sim` |
 
 #![deny(missing_docs)]
 

@@ -41,15 +41,21 @@
 //!
 //! # Checkpoint/resume
 //!
-//! With `BEVRA_CHECKPOINT=rw` (see [`crate::ckpt`]) the fleet persists
-//! completed clean lanes after every [`GROUP_SHARDS`] shards, crossing
-//! the `panic:sim/fleet-ckpt` kill site between groups, and restores them
-//! bitwise on the next run — a killed ≥10M-flow fleet resumes instead of
-//! starting over, and the resumed merged digest is identical to an
-//! uninterrupted run's.
+//! With `BEVRA_CACHE=rw` the fleet checkpoints into the engine's on-disk
+//! [`Store`] (kind [`Kind::Fleet`], keyed by [`Fleet::fingerprint`]): it
+//! persists completed clean lanes after every [`GROUP_SHARDS`] shards,
+//! crossing the `panic:sim/fleet-ckpt` kill site between groups, and
+//! restores them bitwise on the next run — a killed ≥10M-flow fleet
+//! resumes instead of starting over, and the resumed merged digest is
+//! identical to an uninterrupted run's. Truncated (budget- or
+//! deadline-cut) lanes are never checkpointed, so a resumed run can only
+//! be *more* complete than the interrupted one, and a fleet that finishes
+//! with every lane ok clears its checkpoint.
 
-use crate::ckpt::{FleetCheckpoint, GROUP_SHARDS};
+use crate::census::Census;
 use crate::runner::{QueueKind, SimConfig, SimError, SimReport, Simulation};
+use crate::stats::Welford;
+use bevra_engine::store::{hex_f64, hex_u64, Fields, Kind, Record, Store};
 use bevra_obs::metrics;
 use bevra_resilience::{ambient_clock, CircuitBreaker, Deadline, RetryPolicy, Supervisor};
 use rand::derive_seed;
@@ -58,6 +64,11 @@ use rand::derive_seed;
 /// a fleet run is split into. Purely an execution knob: any value yields
 /// the identical merged report. Defaults to the engine worker count.
 pub const SHARDS_ENV: &str = "BEVRA_SIM_SHARDS";
+
+/// Shards per checkpoint group: a checkpointing fleet persists completed
+/// lanes and crosses the `sim/fleet-ckpt` kill site once per this many
+/// completed shards.
+pub const GROUP_SHARDS: usize = 4;
 
 /// Upper bound on an explicitly requested shard count (mirrors the
 /// engine's [`MAX_THREADS`](bevra_engine::MAX_THREADS) policy).
@@ -168,13 +179,13 @@ impl FleetReport {
 /// A fleet instance. Create with [`Fleet::new`], run with [`Fleet::run`].
 pub struct Fleet {
     cfg: FleetConfig,
-    ckpt: Option<FleetCheckpoint>,
+    ckpt: Option<Store>,
     restarts_enabled: bool,
 }
 
 impl Fleet {
-    /// New fleet from a config, with the ambient checkpoint store
-    /// (`BEVRA_CHECKPOINT`) if one is configured.
+    /// New fleet from a config, checkpointing into the ambient store
+    /// (`BEVRA_CACHE`) if one is configured.
     ///
     /// # Panics
     ///
@@ -185,13 +196,13 @@ impl Fleet {
         assert!(cfg.lanes > 0, "a fleet needs at least one lane");
         assert!(cfg.base.capacity > 0.0, "capacity must be positive");
         assert!(cfg.base.horizon > 0.0, "horizon must be positive");
-        Self { cfg, ckpt: FleetCheckpoint::from_env("bevra-sim"), restarts_enabled: true }
+        Self { cfg, ckpt: Store::from_env("bevra-sim"), restarts_enabled: true }
     }
 
     /// Replace the checkpoint store (builder style) — tests and embedders
     /// inject explicit stores without touching the environment.
     #[must_use]
-    pub fn with_checkpoint(mut self, store: FleetCheckpoint) -> Self {
+    pub fn with_checkpoint(mut self, store: Store) -> Self {
         self.ckpt = Some(store);
         self
     }
@@ -207,7 +218,7 @@ impl Fleet {
 
     /// The active checkpoint store, if any.
     #[must_use]
-    pub fn checkpoint_store(&self) -> Option<&FleetCheckpoint> {
+    pub fn checkpoint_store(&self) -> Option<&Store> {
         self.ckpt.as_ref()
     }
 
@@ -260,7 +271,7 @@ impl Fleet {
         let key = self.fingerprint();
         let mut restored = vec![false; lanes];
         if let Some(cs) = &self.ckpt {
-            for (lane, report) in cs.load(key, lanes).into_iter().enumerate() {
+            for (lane, report) in cs.restore::<SimReport>(key, lanes).into_iter().enumerate() {
                 if let Some(r) = report {
                     slots[lane] = Some((r, false));
                     restored[lane] = true;
@@ -334,7 +345,7 @@ impl Fleet {
                 }
             }
             if let Some(cs) = &self.ckpt {
-                cs.store(key, lanes, &clean_lanes(&slots));
+                cs.checkpoint(key, lanes, clean_lanes(&slots));
                 bevra_faults::panic_point("sim/fleet-ckpt", group_idx as u64);
             }
         }
@@ -395,7 +406,7 @@ impl Fleet {
             }
             health.breaker_trips = sup.breaker_trips();
             if let Some(cs) = &self.ckpt {
-                cs.store(key, lanes, &clean_lanes(&slots));
+                cs.checkpoint(key, lanes, clean_lanes(&slots));
             }
         } else if !failed_shards.is_empty() {
             // Restarts disabled (mutation-test knob): dead shards stay
@@ -424,7 +435,7 @@ impl Fleet {
         }
         if let Some(cs) = &self.ckpt {
             if health.failed.is_empty() && health.truncated_lanes == 0 {
-                cs.clear(key);
+                cs.clear(Kind::Fleet, key);
             }
         }
 
@@ -439,15 +450,68 @@ impl Fleet {
 }
 
 /// The clean (untruncated) completed lanes, ready to checkpoint.
-fn clean_lanes(slots: &[Option<(SimReport, bool)>]) -> Vec<(usize, &SimReport)> {
-    slots
-        .iter()
-        .enumerate()
-        .filter_map(|(lane, slot)| match slot {
-            Some((report, false)) => Some((lane, report)),
-            _ => None,
-        })
-        .collect()
+fn clean_lanes(
+    slots: &[Option<(SimReport, bool)>],
+) -> impl Iterator<Item = (usize, &SimReport)> {
+    slots.iter().enumerate().filter_map(|(lane, slot)| match slot {
+        Some((report, false)) => Some((lane, report)),
+        _ => None,
+    })
+}
+
+/// Checkpoint rows: a lane's exact accumulator state — the six counters,
+/// each Welford's `(n, mean, M₂)`, and the census vectors — so a restored
+/// lane merges to the same bits as a re-simulated one.
+impl Record for SimReport {
+    const KIND: Kind = Kind::Fleet;
+
+    fn encode(&self, line: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(
+            line,
+            "{:x} {:x} {:x} {:x} {:x} {:x}",
+            self.completed, self.lost, self.blocked_attempts, self.attempts, self.retries, self.events,
+        );
+        for w in [&self.utility_at_admission, &self.utility_time_avg, &self.utility_worst] {
+            let (n, mean, m2) = w.state();
+            let _ = write!(line, " {n:x} {:016x} {:016x}", mean.to_bits(), m2.to_bits());
+        }
+        let (time_at, seen_at, total_time) = self.census.state();
+        let _ = write!(line, " {:x}", time_at.len());
+        for t in time_at {
+            let _ = write!(line, " {:016x}", t.to_bits());
+        }
+        let _ = write!(line, " {:x}", seen_at.len());
+        for s in seen_at {
+            let _ = write!(line, " {s:x}");
+        }
+        let _ = write!(line, " {:016x}", total_time.to_bits());
+    }
+
+    fn decode(fields: &mut Fields<'_>) -> Option<Self> {
+        // Census lengths come from disk: bound them before allocating.
+        const MAX_LEN: u64 = 1 << 24;
+        let mut report = SimReport::empty();
+        report.completed = hex_u64(fields)?;
+        report.lost = hex_u64(fields)?;
+        report.blocked_attempts = hex_u64(fields)?;
+        report.attempts = hex_u64(fields)?;
+        report.retries = hex_u64(fields)?;
+        report.events = hex_u64(fields)?;
+        for w in [
+            &mut report.utility_at_admission,
+            &mut report.utility_time_avg,
+            &mut report.utility_worst,
+        ] {
+            *w = Welford::from_state(hex_u64(fields)?, hex_f64(fields)?, hex_f64(fields)?);
+        }
+        let t_len = hex_u64(fields).filter(|&n| n <= MAX_LEN)?;
+        let time_at = (0..t_len).map(|_| hex_f64(fields)).collect::<Option<Vec<f64>>>()?;
+        let s_len = hex_u64(fields).filter(|&n| n <= MAX_LEN)?;
+        let seen_at = (0..s_len).map(|_| hex_u64(fields)).collect::<Option<Vec<u64>>>()?;
+        report.census = Census::from_state(time_at, seen_at, hex_f64(fields)?);
+        Some(report)
+    }
 }
 
 /// Render a panic payload as text (the pool's convention).
@@ -720,13 +784,6 @@ mod tests {
         drop(fleet);
     }
 
-    fn tmp_store(tag: &str) -> FleetCheckpoint {
-        let d =
-            std::env::temp_dir().join(format!("bevra-fleet-run-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        FleetCheckpoint::new(d, CacheMode::ReadWrite)
-    }
-
     #[test]
     fn killed_fleet_resumes_bitwise_from_checkpoint() {
         silence_injected_panics();
@@ -736,8 +793,9 @@ mod tests {
         // first group's checkpoint is stored.
         let plan = FaultPlan::seeded(0)
             .rule(FaultRule::at_key(FaultKind::Panic, "sim/fleet-ckpt", 0));
-        let store = tmp_store("kill");
-        let dir = store.dir().to_path_buf();
+        let dir = std::env::temp_dir().join(format!("bevra-fleet-run-kill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::new(&dir, CacheMode::ReadWrite);
         let interrupted = {
             let _guard = install(plan);
             let fleet = Fleet::new(fleet_cfg(8)).with_checkpoint(store);
@@ -749,11 +807,11 @@ mod tests {
 
         // Resume with a fresh store over the same directory: the first
         // group's lanes restore from disk, the rest are simulated.
-        let resume_store = FleetCheckpoint::new(dir, CacheMode::ReadWrite);
+        let resume_store = Store::new(dir, CacheMode::ReadWrite);
         let fleet = Fleet::new(fleet_cfg(8)).with_checkpoint(resume_store);
         let resumed = fault_free(|| fleet.run_on(8, QueueKind::Wheel));
         let cs = fleet.checkpoint_store().expect("store attached");
-        assert!(cs.restored_lanes() > 0, "resume must restore checkpointed lanes");
+        assert!(cs.stats(Kind::Fleet).restored > 0, "resume must restore checkpointed lanes");
         assert!(resumed.health.all_ok());
         assert_eq!(
             resumed.merged.digest(),
@@ -762,7 +820,7 @@ mod tests {
         );
         assert_eq!(resumed.lane_digests, reference.lane_digests);
         assert!(
-            cs.load(fleet.fingerprint(), 8).iter().all(Option::is_none),
+            cs.restore::<SimReport>(fleet.fingerprint(), 8).iter().all(Option::is_none),
             "a fully clean fleet clears its checkpoint"
         );
     }

@@ -5,8 +5,8 @@
 //! configuration) four ways and reports wall time:
 //!
 //! 1. **baseline** — no checkpointing, no faults;
-//! 2. **checkpointed** — `FleetCheckpoint` attached (store cost on the
-//!    fault-free path);
+//! 2. **checkpointed** — a checkpoint `Store` attached (store cost on
+//!    the fault-free path);
 //! 3. **transient rescue** — one injected lane panic, rescued by the
 //!    recovery supervisor to the identical digest (restart cost);
 //! 4. **resume** — a run killed at the checkpoint barrier, then resumed
@@ -20,8 +20,8 @@
 //! asserts it, so the timings can't quietly compare different work.
 
 use bevra::prelude::*;
-use bevra::sim::{ckpt::FleetCheckpoint, Fleet, FleetConfig, QueueKind, SimReport};
-use bevra_engine::CacheMode;
+use bevra::sim::{Fleet, FleetConfig, QueueKind, SimReport};
+use bevra_engine::{CacheMode, Store};
 use bevra_faults::{install, FaultKind, FaultPlan, FaultRule};
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,7 +66,7 @@ fn main() {
 
     let (ckpt_s, ckpt) = timed("checkpointed (fault-free)", || {
         Fleet::new(fleet_config())
-            .with_checkpoint(FleetCheckpoint::new(&dir, CacheMode::ReadWrite))
+            .with_checkpoint(Store::new(&dir, CacheMode::ReadWrite))
             .run_on(4, QueueKind::Wheel)
             .merged
     });
@@ -89,14 +89,14 @@ fn main() {
         );
         let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             Fleet::new(fleet_config())
-                .with_checkpoint(FleetCheckpoint::new(&dir, CacheMode::ReadWrite))
+                .with_checkpoint(Store::new(&dir, CacheMode::ReadWrite))
                 .run_on(4, QueueKind::Wheel)
         }));
         assert!(killed.is_err(), "the fleet-ckpt kill site must fire");
     }
     let (resume_s, resumed) = timed("resume from checkpoint", || {
         Fleet::new(fleet_config())
-            .with_checkpoint(FleetCheckpoint::new(&dir, CacheMode::ReadWrite))
+            .with_checkpoint(Store::new(&dir, CacheMode::ReadWrite))
             .run_on(4, QueueKind::Wheel)
             .merged
     });

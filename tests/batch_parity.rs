@@ -10,7 +10,7 @@
 
 use bevra::analysis::{k_max_grid, sweep_grid_fused, DiscreteModel, PiEval};
 use bevra::analysis::kernel::{self, ParityClass};
-use bevra::engine::{CacheMode, ExecMode, PersistentCache, SweepEngine};
+use bevra::engine::{CacheMode, ExecMode, Store, SweepEngine};
 use bevra::load::Tabulated;
 use bevra::num::simd;
 use bevra::utility::{Rigid, Utility};
@@ -238,12 +238,12 @@ fn persistent_cache_round_trip_is_bitwise() {
                 let cold =
                     SweepEngine::with_mode(scenario_model(&table, &utility, sc), ExecMode::Serial)
                         .with_kernel(PiEval::Exact)
-                        .with_persistent_cache(PersistentCache::new(&dir, CacheMode::ReadWrite));
+                        .with_store(Store::new(&dir, CacheMode::ReadWrite));
                 let cold_points = cold.sweep(&cs);
                 let warm =
                     SweepEngine::with_mode(scenario_model(&table, &utility, sc), ExecMode::Serial)
                         .with_kernel(PiEval::Exact)
-                        .with_persistent_cache(PersistentCache::new(&dir, CacheMode::ReadWrite));
+                        .with_store(Store::new(&dir, CacheMode::ReadWrite));
                 let warm_points = warm.sweep(&cs);
 
                 let (_, pw) = warm

@@ -48,7 +48,7 @@ fn chaos_cases_replay_identically() {
 #[test]
 fn pinned_cache_fault_scenario_degrades_to_recompute() {
     use bevra::analysis::DiscreteModel;
-    use bevra::engine::{CacheMode, ExecMode, PersistentCache, SweepEngine};
+    use bevra::engine::{CacheMode, ExecMode, Kind, Store, SweepEngine};
     use bevra::load::{Poisson, Tabulated};
     use bevra::utility::AdaptiveExp;
     use bevra_faults::{install, FaultKind, FaultPlan, FaultRule};
@@ -78,7 +78,7 @@ fn pinned_cache_fault_scenario_degrades_to_recompute() {
 
     let mut io_errors = 0;
     for pass in ["cold", "warm"] {
-        let engine = mk().with_persistent_cache(PersistentCache::new(&dir, CacheMode::ReadWrite));
+        let engine = mk().with_store(Store::new(&dir, CacheMode::ReadWrite));
         let points = engine.sweep(&cs);
         for (b, p) in baseline.iter().zip(&points) {
             assert_eq!(
@@ -94,9 +94,9 @@ fn pinned_cache_fault_scenario_degrades_to_recompute() {
                 b.capacity
             );
         }
-        let pc = engine.persistent_cache().expect("cache attached");
-        assert_eq!(pc.stores(), 0, "{pass} pass: a store slipped past the permanent fault");
-        io_errors += pc.io_errors();
+        let grid = engine.store().expect("store attached").stats(Kind::Grid);
+        assert_eq!(grid.stores, 0, "{pass} pass: a store slipped past the permanent fault");
+        io_errors += grid.io_errors;
     }
     assert!(io_errors >= 2, "faults never landed: {io_errors} absorbed");
     let leftovers = std::fs::read_dir(&dir).map(|it| it.count()).unwrap_or(0);

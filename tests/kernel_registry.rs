@@ -5,7 +5,7 @@
 //! bits.
 
 use bevra::analysis::{sweep_grid_fused, DiscreteModel, PiEval};
-use bevra::engine::{grid_key, registry, CacheMode, ExecMode, PersistentCache, SweepEngine};
+use bevra::engine::{grid_key, registry, CacheMode, ExecMode, Kind, Store, SweepEngine};
 use bevra::load::{Poisson, Tabulated};
 use bevra::utility::{AdaptiveExp, Rigid};
 
@@ -27,38 +27,37 @@ fn capability_record_round_trips_through_cache_key() {
         .join(format!("bevra-kernel-cache-key-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cs = grid();
-    let pcache = || PersistentCache::new(&dir, CacheMode::ReadWrite);
+    let pcache = || Store::new(&dir, CacheMode::ReadWrite);
     let engine = |k| {
         SweepEngine::with_mode(model(), ExecMode::Serial)
             .with_kernel(k)
-            .with_persistent_cache(pcache())
+            .with_store(pcache())
     };
 
     // Cold batch prime: one miss, one store.
     let batch = engine(PiEval::Exact);
     batch.prime(&cs);
-    assert_eq!(batch.persistent_cache().map(|p| p.stores()), Some(1));
+    assert_eq!(batch.store().map(|s| s.stats(Kind::Grid).stores), Some(1));
 
     // Fast and portable request different capability keys: both miss the
     // batch entry and store their own.
     for k in [PiEval::Fast, PiEval::Portable] {
         let other = engine(k);
         other.prime(&cs);
-        let pc = other.persistent_cache().expect("cache attached");
-        let s = pc.stats();
+        let s = other.store().expect("store attached").stats(Kind::Grid);
         assert_eq!(
             (s.hits, s.misses),
             (0, 1),
             "{}: must not be served another parity class's rows",
             k.capability().name
         );
-        assert_eq!(pc.stores(), 1, "{}: stores its own entry", k.capability().name);
+        assert_eq!(s.stores, 1, "{}: stores its own entry", k.capability().name);
     }
 
     // A warm batch engine is a pure hit again.
     let warm = engine(PiEval::Exact);
     warm.prime(&cs);
-    let s = warm.persistent_cache().expect("cache attached").stats();
+    let s = warm.store().expect("store attached").stats(Kind::Grid);
     assert_eq!((s.hits, s.misses), (1, 0), "batch warm prime is a pure hit");
     let _ = std::fs::remove_dir_all(&dir);
 }

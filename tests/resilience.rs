@@ -5,9 +5,9 @@
 //! wall enforces. Crash recovery is only real if it changes no bit.
 
 use bevra::prelude::*;
-use bevra::sim::{ckpt::FleetCheckpoint, Fleet, FleetConfig, QueueKind};
+use bevra::sim::{Fleet, FleetConfig, QueueKind};
 use bevra_check::chaos::silence_injected_panics;
-use bevra_engine::{CacheMode, CheckpointStore};
+use bevra_engine::{CacheMode, Kind, Store};
 use bevra_faults::{install, FaultKind, FaultPlan, FaultRule};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -36,7 +36,7 @@ fn killed_sweep_resumes_bitwise_from_checkpoint() {
 
     // Kill the sweep right after batch 0 lands on disk.
     let killed_engine = SweepEngine::with_mode(model(), ExecMode::Serial)
-        .with_checkpoints(CheckpointStore::new(&dir, CacheMode::ReadWrite));
+        .with_store(Store::new(&dir, CacheMode::ReadWrite));
     {
         let _guard = install(
             FaultPlan::seeded(0).rule(FaultRule::at_key(FaultKind::Panic, "engine/ckpt-batch", 0)),
@@ -46,15 +46,15 @@ fn killed_sweep_resumes_bitwise_from_checkpoint() {
         }));
         assert!(killed.is_err(), "the ckpt-batch kill site must fire");
     }
-    let stores = killed_engine.checkpoint_store().map_or(0, CheckpointStore::stores);
+    let stores = killed_engine.store().map_or(0, |s| s.stats(Kind::Sweep).stores);
     assert!(stores >= 1, "batch 0 was checkpointed before the kill");
 
     // A fresh engine over the same directory resumes and completes.
     let resumed_engine = SweepEngine::with_mode(model(), ExecMode::Serial)
-        .with_checkpoints(CheckpointStore::new(&dir, CacheMode::ReadWrite));
+        .with_store(Store::new(&dir, CacheMode::ReadWrite));
     let resumed = resumed_engine.sweep_checked(&cs);
-    let store = resumed_engine.checkpoint_store().expect("store attached");
-    assert_eq!(store.restored_points(), 32, "the first batch was restored, not recomputed");
+    let store = resumed_engine.store().expect("store attached");
+    assert_eq!(store.stats(Kind::Sweep).restored, 32, "the first batch was restored, not recomputed");
     assert!(resumed.health.is_clean(), "resumed sweep is clean: {}", resumed.health);
     assert_eq!(resumed.points().len(), reference.len());
     for (a, b) in reference.iter().zip(resumed.points()) {
@@ -91,7 +91,7 @@ fn killed_million_flow_fleet_resumes_onto_the_committed_pin() {
             },
             lanes: 4,
         })
-        .with_checkpoint(FleetCheckpoint::new(&dir, CacheMode::ReadWrite))
+        .with_checkpoint(Store::new(&dir, CacheMode::ReadWrite))
     };
 
     // Kill the run at the checkpoint barrier: the group's lanes are
@@ -110,7 +110,7 @@ fn killed_million_flow_fleet_resumes_onto_the_committed_pin() {
     // merged digest is the committed million-flow pin, bit for bit.
     let resumed_fleet = fleet();
     let resumed = resumed_fleet.run_on(4, QueueKind::Wheel);
-    let restored = resumed_fleet.checkpoint_store().map_or(0, FleetCheckpoint::restored_lanes);
+    let restored = resumed_fleet.checkpoint_store().map_or(0, |s| s.stats(Kind::Fleet).restored);
     assert!(restored > 0, "resume restored lanes from the checkpoint");
     assert!(resumed.health.all_ok(), "resumed fleet is healthy: {:?}", resumed.health);
     assert!(resumed.merged.events > 2_000_000, "scale floor: {} events", resumed.merged.events);
