@@ -1,26 +1,25 @@
-//! Bench: simulator throughput and the event-queue ablation.
+//! Bench: simulator throughput and the event-queue microbench.
 //!
-//! The `sim_million_flow_*` rows are the acceptance bench for the
-//! timer-wheel/SoA event-loop rearchitecture (DESIGN.md § "The event loop
-//! at scale"): one million flow arrivals at k̄ = 2000, measured through
-//! the legacy heap loop (the pre-refactor implementation preserved in
-//! `bevra_sim::legacy`), the new loop on both queue backends, and the
-//! sharded fleet. The wheel+SoA row must beat the legacy row by ≥10× —
-//! CI's sim-scale job gates on these rows via `scripts/perf_smoke.py`.
+//! `sim_million_flow_wheel_soa` is the acceptance row for the
+//! timer-wheel/SoA event loop (DESIGN.md § "The event loop at scale"):
+//! one million flow arrivals at k̄ = 5000. CI's sim-scale job bounds it
+//! at 1.74× its committed baseline via `scripts/perf_smoke.py`.
+//! `sim_ten_million_flow_fleet` runs the sharded fleet at ten million
+//! flows, and `ablate_eventq_timer_wheel` times the wheel alone under a
+//! hold-model workload.
 
 use bevra_sim::fleet::{Fleet, FleetConfig};
-use bevra_sim::queue::{BinaryHeapQueue, EventQueue, SortedVecQueue};
 use bevra_sim::wheel::TimerWheelQueue;
-use bevra_sim::{legacy, Discipline, HoldingDist, MixedPoisson, QueueKind, SimConfig, Simulation};
+use bevra_sim::{Discipline, HoldingDist, MixedPoisson, QueueKind, SimConfig, Simulation};
 use bevra_utility::AdaptiveExp;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
 /// One million flow arrivals: k̄ = 5000 concurrent flows for 200 time
-/// units. High occupancy is the regime that separates the architectures —
-/// the legacy loop pays an O(active) max-population scan per departure
-/// and a heap reorder per event, the new loop pays O(1) for both.
+/// units. High occupancy is the regime where per-event cost matters: the
+/// loop must stay O(1) per event for both the queue and the
+/// max-population bookkeeping.
 fn million_flow_cfg() -> SimConfig {
     SimConfig {
         capacity: 6250.0,
@@ -39,19 +38,11 @@ fn million_flow_benches(c: &mut Criterion) {
     let cfg = million_flow_cfg();
     // Events per iteration, so ns_per_point in the artifact is ns/event
     // and events/s = 1e9 / ns_per_point.
-    let events = Simulation::new(cfg.clone()).run_on(QueueKind::Wheel).events as usize;
+    let events = Simulation::new(cfg.clone()).run().events as usize;
 
-    c.bench_function("sim_million_flow_legacy_heap", |b| {
-        b.points(events);
-        b.iter(|| black_box(legacy::run(&cfg)));
-    });
-    c.bench_function("sim_million_flow_heap_soa", |b| {
-        b.points(events);
-        b.iter(|| black_box(Simulation::new(cfg.clone()).run_on(QueueKind::Heap)));
-    });
     c.bench_function("sim_million_flow_wheel_soa", |b| {
         b.points(events);
-        b.iter(|| black_box(Simulation::new(cfg.clone()).run_on(QueueKind::Wheel)));
+        b.iter(|| black_box(Simulation::new(cfg.clone()).run()));
     });
 
     // The ROADMAP-item-2 scale target: ten million flows in one run,
@@ -91,9 +82,9 @@ fn sim_benches(c: &mut Criterion) {
         b.iter(|| black_box(Simulation::new(cfg.clone()).run()));
     });
 
-    // Event-queue ablation (DESIGN.md §4): binary heap vs sorted vec under
-    // a hold-model workload.
-    fn churn(q: &mut impl EventQueue, n: u64) -> f64 {
+    // Event-queue microbench (DESIGN.md §4): the timer wheel under a
+    // hold-model workload.
+    fn churn(q: &mut TimerWheelQueue, n: u64) -> f64 {
         use bevra_sim::events::{Entry, EventKind};
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
         let mut t_out = 0.0;
@@ -111,12 +102,6 @@ fn sim_benches(c: &mut Criterion) {
         }
         t_out
     }
-    c.bench_function("ablate_eventq_binary_heap", |b| {
-        b.iter(|| black_box(churn(&mut BinaryHeapQueue::new(), 4_096)));
-    });
-    c.bench_function("ablate_eventq_sorted_vec", |b| {
-        b.iter(|| black_box(churn(&mut SortedVecQueue::new(), 4_096)));
-    });
     c.bench_function("ablate_eventq_timer_wheel", |b| {
         b.iter(|| black_box(churn(&mut TimerWheelQueue::with_granularity(1.0 / 4096.0), 4_096)));
     });

@@ -31,7 +31,7 @@ static HEALTH: Mutex<Vec<(String, SweepHealth)>> = Mutex::new(Vec::new());
 /// The invariant the chaos suite asserts: nothing degrades silently.
 /// Every non-finite value an engine sweep produces (whether from a real
 /// solver failure or an injected fault) is counted here and surfaces in
-/// the emitted `-perf.json`/`-perf.csv` artifacts.
+/// the emitted `-perf.json` artifact.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepHealth {
     /// Points that evaluated to fully finite values.
@@ -368,64 +368,6 @@ impl SweepReport {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// CSV serialization: one `stage` row per stage, one `cache` row per
-    /// cache, one `health` row per degradation ledger, with a shared
-    /// header. Non-finite numeric cells are emitted empty — consistent
-    /// with the `null`-for-non-finite rule of [`Self::to_json`].
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        fn cnum(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x:?}")
-            } else {
-                String::new()
-            }
-        }
-        let mut out = String::from(
-            "kind,name,seconds,points,points_per_sec,hits,misses,hit_rate,ok,degraded,failed,non_finite,retries,breaker_trips,restarts,first_failure,kernel,simd\n",
-        );
-        for s in &self.stages {
-            out.push_str(&format!(
-                "stage,{},{},{},{},,,,,,,,,,,,,\n",
-                s.name,
-                cnum(s.seconds),
-                s.points,
-                cnum(s.points_per_sec())
-            ));
-        }
-        for (name, st) in &self.caches {
-            out.push_str(&format!(
-                "cache,{},,,,{},{},{},,,,,,,,,,\n",
-                name,
-                st.hits,
-                st.misses,
-                cnum(st.hit_rate())
-            ));
-        }
-        for (name, h) in &self.health {
-            let first = h.first_failure.as_deref().unwrap_or("");
-            // CSV-quote the free-text cause (it may contain commas).
-            let first = format!("\"{}\"", first.replace('"', "\"\""));
-            let kernel = h.kernel.as_deref().unwrap_or("");
-            let simd = h.simd.as_deref().unwrap_or("");
-            out.push_str(&format!(
-                "health,{},,,,,,,{},{},{},{},{},{},{},{},{},{}\n",
-                name,
-                h.ok,
-                h.degraded,
-                h.failed,
-                h.non_finite,
-                h.retries,
-                h.breaker_trips,
-                h.restarts,
-                first,
-                kernel,
-                simd
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -456,10 +398,6 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"sweep/utility\""));
         assert!(json.contains("\"hits\": 10"));
-        let csv = report.to_csv();
-        assert!(csv.lines().count() == 3);
-        assert!(csv.contains("stage,sweep/utility"));
-        assert!(csv.contains("cache,best_effort"));
     }
 
     #[test]
@@ -468,10 +406,19 @@ mod tests {
         assert_eq!(busy.points_per_sec(), f64::INFINITY);
         let idle = StageRecord { name: "s".into(), seconds: 0.0, points: 0 };
         assert_eq!(idle.points_per_sec(), 0.0);
-        // Non-finite rates must serialize as null, keeping the JSON valid.
-        let report = SweepReport::new(vec![busy], vec![], 1);
+        // Non-finite rates must serialize as null, keeping the JSON valid;
+        // the idle stage's zero rate stays a number.
+        let report = SweepReport::new(vec![busy, idle], vec![], 1);
         let json = report.to_json();
         assert!(json.contains("\"points_per_sec\": null"), "json: {json}");
+        assert!(
+            json.contains("\"seconds\": 0.0, \"points\": 10, \"points_per_sec\": null}"),
+            "busy stage row: {json}"
+        );
+        assert!(
+            json.contains("\"seconds\": 0.0, \"points\": 0, \"points_per_sec\": 0.0}"),
+            "idle stage row: {json}"
+        );
         assert!(!json.contains("inf"), "no bare inf tokens in JSON");
     }
 
@@ -524,12 +471,6 @@ mod tests {
         assert!(json.contains("\"retries\": 2"), "json: {json}");
         assert!(json.contains("\"breaker_trips\": 1"), "json: {json}");
         assert!(json.contains("\"restarts\": 3"), "json: {json}");
-        let csv = report.to_csv();
-        assert!(
-            csv.lines().next().is_some_and(|h| h.contains("retries,breaker_trips,restarts")),
-            "csv header: {csv}"
-        );
-        assert!(csv.contains("health,fleet,,,,,,,1,0,0,0,2,1,3,"), "csv: {csv}");
     }
 
     #[test]
@@ -566,11 +507,6 @@ mod tests {
         assert!(json.contains("\"kernel\": null"), "unstamped ledger: {json}");
         assert!(json.contains("\"simd\": \"autovec\""), "simd stamp: {json}");
         assert!(json.contains("\"simd\": null"), "unstamped simd: {json}");
-        let csv = report.to_csv();
-        assert!(csv.lines().next().is_some_and(|h| h.ends_with("kernel,simd")));
-        assert!(csv.contains("health,fig2/sweep,,,,,,,1,1,0,1,"), "csv: {csv}");
-        assert!(csv.contains("\"\"no bracket\"\""), "csv-quoted cause: {csv}");
-        assert!(csv.contains(", giving up\",batch,autovec\n"), "kernel+simd columns: {csv}");
     }
 
     #[test]
@@ -588,20 +524,6 @@ mod tests {
         a.merge(&c);
         assert_eq!(a.kernel.as_deref(), Some("fast"), "existing stamp wins");
         assert_eq!(a.total(), 3);
-    }
-
-    #[test]
-    fn csv_non_finite_cells_are_empty() {
-        let report = SweepReport::new(
-            vec![StageRecord { name: "s".into(), seconds: 0.0, points: 10 }],
-            vec![],
-            1,
-        );
-        let csv = report.to_csv();
-        // The zero-duration stage has an infinite rate: emitted empty,
-        // matching the JSON null rule.
-        assert!(csv.contains("stage,s,0.0,10,,"), "csv: {csv}");
-        assert!(!csv.contains("inf"), "no bare inf tokens in CSV: {csv}");
     }
 
     #[test]

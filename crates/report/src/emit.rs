@@ -97,8 +97,7 @@ fn ledger_record(fig: &Figure, report: &SweepReport) -> LedgerRecord {
 /// Print a figure to stdout and write `results/<id>.json` plus
 /// `results/<id>-panel<N>.csv`, then drain the sweep instrumentation
 /// accumulated while the figure was built into `results/<id>-perf.json`
-/// and `results/<id>-perf.csv` (stage timings, throughput, cache
-/// hit/miss counters).
+/// (stage timings, throughput, cache hit/miss counters, health ledgers).
 ///
 /// Every run also appends one record to `results/ledger.jsonl` — the
 /// cross-run history `obs-report` renders and gates on — and, when the
@@ -133,11 +132,6 @@ pub fn emit_figure(fig: &Figure, dir: &Path) -> std::io::Result<()> {
             "report/perf-json",
             &dir.join(format!("{}-perf.json", fig.id)),
             report.to_json().as_bytes(),
-        )?;
-        bevra_faults::atomic_write(
-            "report/perf-csv",
-            &dir.join(format!("{}-perf.csv", fig.id)),
-            report.to_csv().as_bytes(),
         )?;
         println!(
             "perf: {threads} thread(s), {pts} points in {secs:.3}s ({rate:.0} points/s)",

@@ -52,7 +52,7 @@ impl PartialOrd for Entry {
 
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Earliest first when used through the queues in `queue.rs`.
+        // Ascending `(time, seq)`: the order `TimerWheelQueue` pops in.
         self.time.total_cmp(&other.time).then_with(|| self.seq.cmp(&other.seq))
     }
 }

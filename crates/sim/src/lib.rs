@@ -31,6 +31,14 @@
 //! `α`. A time-weighted occupancy census yields an empirical `P(k)` that
 //! can be fed straight back into `bevra-core`'s `DiscreteModel`
 //! (re-exported here for convenience via `bevra_load::Tabulated`).
+//!
+//! # One event loop
+//!
+//! [`Simulation`] runs a single event loop ([`runner`]) whose pending-event
+//! set is the hierarchical [`TimerWheelQueue`]; [`Fleet`] shards many
+//! seeded lanes of it. There is no second implementation to compare
+//! against: the loop's exact output is pinned by committed digests, and
+//! the wheel's ordering by a property test against `std`'s `BinaryHeap`.
 
 pub mod arrivals;
 pub mod census;
@@ -38,9 +46,7 @@ pub mod events;
 pub mod fleet;
 pub mod flows;
 pub mod holding;
-pub mod legacy;
 pub mod link;
-pub mod queue;
 pub mod runner;
 pub mod stats;
 pub mod wheel;

@@ -1,19 +1,18 @@
 //! The event loop: wiring arrivals, holding times, the link discipline, and
 //! measurement into one deterministic simulation.
 //!
-//! # Architecture (post million-flow refactor)
+//! # Architecture
 //!
-//! The loop is generic over its pending-event set ([`EventQueue`]) and
-//! keeps flow state in struct-of-arrays form ([`FlowTable`]) with the
-//! per-admission `max_pop` scan replaced by a monotone suffix-max stack
-//! ([`PeakTracker`]) — see `crates/sim/src/flows.rs` for the equivalence
-//! argument. Runs use the hierarchical timer wheel (amortized O(1) per
-//! event); [`Simulation::run_on`] can pin the original binary heap
-//! instead via [`QueueKind`]. Both produce **bitwise-identical**
-//! [`SimReport::digest`]s — the
-//! differential suite (`tests/timer_wheel.rs`, `tests/sim_scale.rs`)
-//! pins that, along with digest parity against the frozen pre-refactor
-//! loop preserved in [`crate::legacy`].
+//! The pending-event set is the hierarchical timer wheel
+//! ([`TimerWheelQueue`], amortized O(1) per event), sized from the
+//! arrival rate. Flow state lives in struct-of-arrays form ([`FlowTable`])
+//! and the per-admission `max_pop` scan is replaced by a monotone
+//! suffix-max stack ([`PeakTracker`]) — see `crates/sim/src/flows.rs` for
+//! the equivalence argument. The loop's exact output is pinned by
+//! committed digests: `tests/sim_scale.rs` holds a ten-config corpus
+//! (digest, completed flows, events) and budget-truncation pins captured
+//! from the original binary-heap loop, and `tests/timer_wheel.rs` checks
+//! the wheel's dequeue order against `std`'s `BinaryHeap`.
 
 use crate::arrivals::MixedPoisson;
 use crate::census::Census;
@@ -21,7 +20,6 @@ use crate::events::{Entry, EventKind};
 use crate::flows::{FlowTable, PeakTracker};
 use crate::holding::HoldingDist;
 use crate::link::Discipline;
-use crate::queue::{BinaryHeapQueue, EventQueue};
 use crate::stats::Welford;
 use crate::wheel::{TimerWheelQueue, DEFAULT_GRANULARITY};
 use bevra_load::Tabulated;
@@ -32,17 +30,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Which [`EventQueue`] implementation the run uses. The choice never
-/// affects results (the determinism suite asserts digest equality), only
-/// speed: the wheel is amortized O(1) per event, the heap O(log n).
+/// The pending-event set of a run. The timer wheel is the only one; the
+/// enum is kept solely so `Fleet::run_on(shards, QueueKind::Wheel)` call
+/// sites (the end-to-end benchmark among them) keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
-    /// Hierarchical timer wheel ([`TimerWheelQueue`]) — what
-    /// [`Simulation::run_checked`] uses.
+    /// Hierarchical timer wheel ([`TimerWheelQueue`]).
     Wheel,
-    /// Binary heap ([`BinaryHeapQueue`]) — the original implementation,
-    /// kept selectable for ablations and differential tests.
-    Heap,
 }
 
 /// Metric handles for one run, resolved once up front so the event loop
@@ -206,8 +200,8 @@ pub enum SimError {
         /// is deterministic) but covers less simulated time than asked.
         partial: Box<SimReport>,
     },
-    /// The cooperative deadline (`BEVRA_DEADLINE_MS`, or one passed to
-    /// [`Simulation::run_checked_deadline_on`]) expired. Checked every
+    /// The cooperative deadline (`BEVRA_DEADLINE_MS`, or the one a
+    /// [`Fleet`](crate::Fleet) shares across its lanes) expired. Checked every
     /// [`DEADLINE_CHECK_EVENTS`] events, so the partial report is a
     /// self-consistent prefix — but *where* it is cut depends on wall
     /// clock, so deadline-truncated digests are not replay-stable.
@@ -308,8 +302,8 @@ impl SimReport {
     /// left out — see its field docs.)
     ///
     /// Two runs of the same configuration and seed must produce equal
-    /// digests — regardless of `BEVRA_THREADS`, the [`QueueKind`], or
-    /// (for fleets) `BEVRA_SIM_SHARDS`. The determinism tests assert
+    /// digests — regardless of `BEVRA_THREADS` or (for fleets)
+    /// `BEVRA_SIM_SHARDS`. The determinism tests assert
     /// exactly that.
     #[must_use]
     pub fn digest(&self) -> u64 {
@@ -382,74 +376,29 @@ impl Simulation {
     /// with [`SimError::BudgetExhausted`] — carrying the partial report —
     /// if the event loop processes more than [`SimConfig::max_events`]
     /// events (or an injected `sim/budget` override) before reaching the
-    /// horizon.
-    ///
-    /// The pending-event set is the timer wheel; use
-    /// [`Simulation::run_checked_on`] to pick the heap instead.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BudgetExhausted`] when the watchdog fires.
-    pub fn run_checked(&self) -> Result<SimReport, SimError> {
-        self.run_checked_on(QueueKind::Wheel)
-    }
-
-    /// [`Simulation::run`] on an explicitly chosen queue implementation.
-    #[must_use]
-    pub fn run_on(&self, kind: QueueKind) -> SimReport {
-        match self.run_checked_on(kind) {
-            Ok(report) => report,
-            Err(
-                SimError::BudgetExhausted { partial, .. }
-                | SimError::DeadlineExpired { partial, .. },
-            ) => *partial,
-        }
-    }
-
-    /// [`Simulation::run_checked`] on an explicitly chosen queue
-    /// implementation — the differential suite runs both kinds and
-    /// asserts digest equality. The ambient `BEVRA_DEADLINE_MS` deadline
-    /// (if any) is armed fresh for this run.
+    /// horizon. The ambient `BEVRA_DEADLINE_MS` deadline (if any) is armed
+    /// fresh for this run.
     ///
     /// # Errors
     ///
     /// [`SimError::BudgetExhausted`] when the watchdog fires;
     /// [`SimError::DeadlineExpired`] when the ambient deadline passes.
-    pub fn run_checked_on(&self, kind: QueueKind) -> Result<SimReport, SimError> {
-        self.run_checked_deadline_on(kind, Deadline::from_env("bevra-sim"))
+    pub fn run_checked(&self) -> Result<SimReport, SimError> {
+        self.run_checked_deadline(Deadline::from_env("bevra-sim"))
     }
 
-    /// [`Simulation::run_checked_on`] under an explicit, possibly shared,
+    /// [`Simulation::run_checked`] under an explicit, possibly shared,
     /// cooperative [`Deadline`] — the fleet arms one deadline and passes
     /// it to every lane so the whole fleet shares a single time budget.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BudgetExhausted`] when the watchdog fires;
-    /// [`SimError::DeadlineExpired`] when `deadline` passes.
-    pub fn run_checked_deadline_on(
-        &self,
-        kind: QueueKind,
-        deadline: Deadline,
-    ) -> Result<SimReport, SimError> {
-        match kind {
-            QueueKind::Heap => EventLoop::new(&self.cfg, BinaryHeapQueue::new()).run(deadline),
-            QueueKind::Wheel => {
-                // ~1 pending event per level-0 bucket is the calendar-queue
-                // sweet spot; total event rate is ≈ 2·λ (each flow arrives
-                // and departs). Only a performance choice — any granularity
-                // gives the identical dequeue order.
-                let g = (0.5 / self.cfg.arrivals.mean_rate()).clamp(1e-9, DEFAULT_GRANULARITY);
-                EventLoop::new(&self.cfg, TimerWheelQueue::with_granularity(g)).run(deadline)
-            }
-        }
+    pub(crate) fn run_checked_deadline(&self, deadline: Deadline) -> Result<SimReport, SimError> {
+        EventLoop::new(&self.cfg).run(deadline)
     }
 }
 
-/// All mutable state of one run, generic over the pending-event set.
-struct EventLoop<'a, Q: EventQueue> {
+/// All mutable state of one run.
+struct EventLoop<'a> {
     cfg: &'a SimConfig,
-    queue: Q,
+    queue: TimerWheelQueue,
     rng: StdRng,
     seq: u64,
     end: f64,
@@ -469,11 +418,16 @@ struct EventLoop<'a, Q: EventQueue> {
     obs: Option<SimObs>,
 }
 
-impl<'a, Q: EventQueue> EventLoop<'a, Q> {
-    fn new(cfg: &'a SimConfig, queue: Q) -> Self {
+impl<'a> EventLoop<'a> {
+    fn new(cfg: &'a SimConfig) -> Self {
+        // ~1 pending event per level-0 bucket is the calendar-queue sweet
+        // spot; total event rate is ≈ 2·λ (each flow arrives and departs).
+        // Only a performance choice — any granularity gives the identical
+        // dequeue order.
+        let g = (0.5 / cfg.arrivals.mean_rate()).clamp(1e-9, DEFAULT_GRANULARITY);
         Self {
             cfg,
-            queue,
+            queue: TimerWheelQueue::with_granularity(g),
             rng: StdRng::seed_from_u64(cfg.seed),
             seq: 0,
             end: cfg.warmup + cfg.horizon,
@@ -788,34 +742,28 @@ mod tests {
         assert_ne!(r1.completed, r3.completed);
     }
 
+    /// `(digest, completed, events)` of the three disciplines on the
+    /// base config, captured from the original binary-heap loop. The wheel
+    /// must reproduce every bit.
     #[test]
-    fn heap_and_wheel_agree_bitwise() {
-        for (cap, d) in [
-            (25.0, Discipline::BestEffort),
-            (15.0, Discipline::Reservation { k_max: 15, retry: None }),
+    fn base_configs_match_pinned_digests() {
+        let retry = Some(RetryPolicy::new(6, 2.0, 0.05));
+        for (cap, d, pin) in [
+            (25.0, Discipline::BestEffort, (0x3570_C61F_5B49_DF62, 40_105, 82_136)),
             (
                 15.0,
-                Discipline::Reservation {
-                    k_max: 15,
-                    retry: Some(RetryPolicy::new(6, 2.0, 0.05)),
-                },
+                Discipline::Reservation { k_max: 15, retry: None },
+                (0x24D4_8317_B03B_B567, 26_914, 68_683),
+            ),
+            (
+                15.0,
+                Discipline::Reservation { k_max: 15, retry },
+                (0x41CB_3380_F26F_AF95, 29_601, 200_818),
             ),
         ] {
-            let sim = Simulation::new(base_cfg(cap, d));
-            let heap = sim.run_on(QueueKind::Heap);
-            let wheel = sim.run_on(QueueKind::Wheel);
-            assert_eq!(heap.digest(), wheel.digest(), "cap {cap}");
-            assert_eq!(heap.events, wheel.events, "cap {cap}");
+            let r = Simulation::new(base_cfg(cap, d)).run();
+            assert_eq!((r.digest(), r.completed, r.events), pin, "cap {cap}");
         }
-    }
-
-    #[test]
-    fn matches_legacy_loop_bitwise() {
-        let cfg = base_cfg(25.0, Discipline::BestEffort);
-        let new = Simulation::new(cfg.clone()).run();
-        let old = crate::legacy::run(&cfg);
-        assert_eq!(new.digest(), old.digest());
-        assert_eq!(new.events, old.events);
     }
 
     #[test]
@@ -955,30 +903,19 @@ mod tests {
         // `run()` degrades to exactly that partial report.
         let degraded = Simulation::new(cfg.clone()).run();
         assert_eq!(degraded.digest(), partial.digest(), "run() returns the same truncation");
-        // And the truncation is deterministic: same seed, same budget,
-        // same digest.
+        // And the truncation is deterministic and pinned: same seed, same
+        // budget, the digest the original binary-heap loop produced.
         let again = Simulation::new(cfg).run();
         assert_eq!(again.digest(), degraded.digest());
+        assert_eq!(again.digest(), 0xB6E1_9FD0_1043_66AE);
     }
 
     #[test]
-    fn budget_truncation_matches_across_queues() {
-        // The watchdog counts *processed* events, which both queues pop in
-        // the same order — so even truncated runs are bit-identical.
-        let mut cfg = base_cfg(40.0, Discipline::BestEffort);
-        cfg.max_events = Some(5_000);
-        let sim = Simulation::new(cfg);
-        let heap = sim.run_on(QueueKind::Heap);
-        let wheel = sim.run_on(QueueKind::Wheel);
-        assert_eq!(heap.digest(), wheel.digest());
-    }
-
-    #[test]
-    fn unbounded_budget_matches_legacy_run() {
+    fn unbounded_run_checked_equals_run() {
         let cfg = base_cfg(25.0, Discipline::BestEffort);
         let checked = Simulation::new(cfg.clone()).run_checked().expect("no budget configured");
-        let legacy = Simulation::new(cfg).run();
-        assert_eq!(checked.digest(), legacy.digest());
+        let degraded = Simulation::new(cfg).run();
+        assert_eq!(checked.digest(), degraded.digest());
     }
 
     #[test]

@@ -12,18 +12,17 @@
 //!
 //! # Exact order preservation
 //!
-//! The dequeue order is **bitwise-identical** to [`BinaryHeapQueue`]'s:
+//! The dequeue order is **bitwise-identical** to a binary min-heap's:
 //! strictly ascending `(time, seq)` over the pending set, with
 //! [`f64::total_cmp`] time semantics. Bucketing is monotone in time
 //! (`t₁ ≤ t₂ ⇒ tick(t₁) ≤ tick(t₂)`), buckets are visited in ascending
 //! tick order, and every bucket is sorted by `(time, seq)` before
-//! draining — so the wheel is a drop-in replacement whose only observable
-//! difference is speed. `tests/timer_wheel.rs` property-checks this
-//! equivalence over randomized streams (same-timestamp ties, far-future
-//! rollover into the overflow list, interleaved push/pop) with shrinking,
-//! and mutation-tests the harness by nudging the slot hash off by one.
-//!
-//! [`BinaryHeapQueue`]: crate::queue::BinaryHeapQueue
+//! draining — so the wheel orders exactly like a heap, only faster.
+//! `tests/timer_wheel.rs` property-checks this against
+//! `std::collections::BinaryHeap` over randomized streams (same-timestamp
+//! ties, far-future rollover into the overflow list, interleaved
+//! push/pop) with shrinking, and mutation-tests the harness by nudging
+//! the slot hash off by one.
 //!
 //! # Time domain
 //!
@@ -34,7 +33,6 @@
 //! every push site.
 
 use crate::events::Entry;
-use crate::queue::EventQueue;
 
 /// log₂ of the slots per level.
 const SLOT_BITS: u32 = 8;
@@ -95,7 +93,7 @@ impl Level {
     }
 }
 
-/// Hierarchical timer-wheel implementation of [`EventQueue`].
+/// Hierarchical timer-wheel pending-event set, ordered by `(time, seq)`.
 ///
 /// See the [module docs](self) for the design; construct with
 /// [`TimerWheelQueue::new`] (default granularity) or
@@ -164,6 +162,41 @@ impl TimerWheelQueue {
     pub fn with_slot_nudge(mut self, nudge: u64) -> Self {
         self.slot_nudge = nudge & MASK;
         self
+    }
+
+    /// Insert an event.
+    pub fn push(&mut self, e: Entry) {
+        self.len += 1;
+        self.place(e);
+    }
+
+    /// Remove and return the earliest event by `(time, seq)`.
+    pub fn pop(&mut self) -> Option<Entry> {
+        if self.current.is_empty() && !self.advance() {
+            return None;
+        }
+        if !self.sorted {
+            // Descending, so pop-min is a pop from the back.
+            self.current.sort_unstable_by(|a, b| b.cmp(a));
+            self.sorted = true;
+        }
+        let e = self.current.pop();
+        if e.is_some() {
+            self.len -= 1;
+        }
+        e
+    }
+
+    /// Number of pending events.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no event is pending.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// The bucket index of time `t`: monotone non-decreasing in `t`,
@@ -280,49 +313,27 @@ impl TimerWheelQueue {
     }
 }
 
-impl EventQueue for TimerWheelQueue {
-    fn push(&mut self, e: Entry) {
-        self.len += 1;
-        self.place(e);
-    }
-
-    fn pop(&mut self) -> Option<Entry> {
-        if self.current.is_empty() && !self.advance() {
-            return None;
-        }
-        if !self.sorted {
-            // Descending, so pop-min is a pop from the back.
-            self.current.sort_unstable_by(|a, b| b.cmp(a));
-            self.sorted = true;
-        }
-        let e = self.current.pop();
-        if e.is_some() {
-            self.len -= 1;
-        }
-        e
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::events::EventKind;
-    use crate::queue::{BinaryHeapQueue, EventQueue};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn entry(t: f64, seq: u64) -> Entry {
         Entry { time: t, seq, kind: EventKind::Arrival }
     }
 
-    fn drain(q: &mut impl EventQueue) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        while let Some(e) = q.pop() {
-            out.push((e.time.to_bits(), e.seq));
-        }
-        out
+    fn key(e: Entry) -> (u64, u64) {
+        (e.time.to_bits(), e.seq)
+    }
+
+    fn drain(q: &mut TimerWheelQueue) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| q.pop().map(key)).collect()
+    }
+
+    fn drain_heap(h: &mut BinaryHeap<Reverse<Entry>>) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| h.pop().map(|Reverse(e)| key(e))).collect()
     }
 
     #[test]
@@ -343,7 +354,7 @@ mod tests {
     fn matches_heap_on_lcg_workload_with_interleaved_pops() {
         for granularity in [1.0 / 64.0, 1.0, 17.3, 1e-6] {
             let mut w = TimerWheelQueue::with_granularity(granularity);
-            let mut h = BinaryHeapQueue::new();
+            let mut h = BinaryHeap::new();
             let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
             let mut out_w = Vec::new();
             let mut out_h = Vec::new();
@@ -353,14 +364,14 @@ mod tests {
                 let u = (x >> 11) as f64 / (1u64 << 53) as f64;
                 let t = if seq % 97 == 0 { u * 1e9 } else { u * 50.0 };
                 w.push(entry(t, seq));
-                h.push(entry(t, seq));
+                h.push(Reverse(entry(t, seq)));
                 if seq % 3 == 2 {
-                    out_w.push(w.pop().map(|e| (e.time.to_bits(), e.seq)));
-                    out_h.push(h.pop().map(|e| (e.time.to_bits(), e.seq)));
+                    out_w.push(w.pop().map(key));
+                    out_h.push(h.pop().map(|Reverse(e)| key(e)));
                 }
             }
             out_w.extend(drain(&mut w).into_iter().map(Some));
-            out_h.extend(drain(&mut h).into_iter().map(Some));
+            out_h.extend(drain_heap(&mut h).into_iter().map(Some));
             assert_eq!(out_w, out_h, "granularity {granularity}");
         }
     }
@@ -385,15 +396,15 @@ mod tests {
     #[test]
     fn exotic_times_stay_totally_ordered() {
         let mut w = TimerWheelQueue::new();
-        let mut h = BinaryHeapQueue::new();
+        let mut h = BinaryHeap::new();
         for (seq, t) in [-3.0, 0.0, -0.0, f64::INFINITY, 1e300, 4.2, f64::NEG_INFINITY]
             .into_iter()
             .enumerate()
         {
             w.push(entry(t, seq as u64));
-            h.push(entry(t, seq as u64));
+            h.push(Reverse(entry(t, seq as u64)));
         }
-        assert_eq!(drain(&mut w), drain(&mut h));
+        assert_eq!(drain(&mut w), drain_heap(&mut h));
     }
 
     #[test]
@@ -402,7 +413,7 @@ mod tests {
         q.push(entry(50.0, 0));
         assert_eq!(q.pop().map(|e| e.seq), Some(0));
         // Cursor is now at tick 50; a (contract-violating in the sim, but
-        // allowed by the trait) earlier push must still come out before
+        // allowed by the queue) earlier push must still come out before
         // later events, matching what a heap would do.
         q.push(entry(10.0, 1));
         q.push(entry(60.0, 2));
@@ -416,13 +427,13 @@ mod tests {
         // stream that spans several level-0 buckets — otherwise the
         // differential property test can't claim teeth.
         let mut w = TimerWheelQueue::with_granularity(1.0).with_slot_nudge(1);
-        let mut h = BinaryHeapQueue::new();
+        let mut h = BinaryHeap::new();
         for seq in 0..64u64 {
             let t = (seq as f64) * 1.5;
             w.push(entry(t, seq));
-            h.push(entry(t, seq));
+            h.push(Reverse(entry(t, seq)));
         }
-        assert_ne!(drain(&mut w), drain(&mut h), "nudged wheel must misorder");
+        assert_ne!(drain(&mut w), drain_heap(&mut h), "nudged wheel must misorder");
     }
 
     #[test]

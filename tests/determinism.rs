@@ -94,7 +94,7 @@ fn run_batch_is_bitwise_deterministic_across_thread_counts() {
 /// Sharded-fleet half of the determinism wall (called from the single
 /// `#[test]` above — it also mutates `BEVRA_THREADS`): a ~1M-flow fleet
 /// must produce the *same* merged digest, the same per-lane digests, and
-/// the same drained obs counters for every shard count and queue backend,
+/// the same drained obs counters for every shard count,
 /// and repeat runs must replay bitwise. The config deliberately spans four
 /// lanes so shard counts {1, 2, 5, 16} exercise lanes-per-shard ratios
 /// above, at, and below one (16 shards > 4 lanes degrades to one lane per
@@ -143,22 +143,20 @@ fn fleet_digest_is_shard_count_invariant_at_scale() {
         0xBE25_1F1D_BB9E_A0D0,
         "million-flow merged digest drifted from the committed pin"
     );
-    for (shards, queue) in
-        [(1, QueueKind::Heap), (2, QueueKind::Wheel), (5, QueueKind::Wheel), (16, QueueKind::Wheel)]
-    {
-        let (report, counters) = run(shards, queue);
+    for shards in [2, 5, 16] {
+        let (report, counters) = run(shards, QueueKind::Wheel);
         assert_eq!(
             report.merged.digest(),
             reference.merged.digest(),
-            "merged digest changed at {shards} shard(s) on {queue:?}"
+            "merged digest changed at {shards} shard(s)"
         );
         assert_eq!(
             report.lane_digests, reference.lane_digests,
-            "per-lane digests changed at {shards} shard(s) on {queue:?}"
+            "per-lane digests changed at {shards} shard(s)"
         );
         assert_eq!(
             counters, reference_counters,
-            "obs counters changed at {shards} shard(s) on {queue:?}"
+            "obs counters changed at {shards} shard(s)"
         );
     }
     // Repeat at a mid shard count: bitwise replay, not merely agreement.

@@ -1,46 +1,49 @@
-//! Golden-digest wall for the rearchitected event loop.
+//! Golden-digest wall for the simulator's event loop.
 //!
-//! The simulator's hot loop was rewritten — binary heap → timer wheel,
-//! boxed per-flow state → struct-of-arrays [`bevra::sim::flows`], O(active)
+//! The loop was rewritten — binary heap → timer wheel, boxed per-flow
+//! state → struct-of-arrays [`bevra::sim::flows`], O(active)
 //! max-population scans → a monotone [`bevra::sim::flows::PeakTracker`] —
 //! with a bitwise-compatibility contract: *every* report bit, census
-//! included, must equal the pre-refactor loop's. This file pins that
-//! contract three ways on a ten-config corpus spanning every discipline,
-//! mixing family, holding distribution, retry policy, and the budget
-//! watchdog:
+//! included, must equal the original loop's. The original loop is gone;
+//! what it computed survives as committed constants captured from it, on a
+//! ten-config corpus spanning every discipline, mixing family, holding
+//! distribution, retry policy, and the budget watchdog:
 //!
-//! 1. against **committed golden digests** captured from the pre-refactor
-//!    loop (so neither the new loop nor the preserved oracle can drift
-//!    together unnoticed),
-//! 2. the new loop on the **heap** vs the **wheel** queue (queue choice is
-//!    an implementation detail, never an observable), and
-//! 3. the new loop vs the **preserved legacy loop**
-//!    ([`bevra::sim::legacy`]), the verbatim pre-refactor implementation
-//!    kept as a differential oracle.
+//! 1. each run's `SimReport::digest`, completed-flow count, and processed
+//!    event count ([`GOLDEN`]; the digest leaves `events` out, so it is
+//!    pinned on its own), and
+//! 2. the digests of watchdog-truncated runs at two budgets
+//!    ([`TRUNCATED`]).
 //!
-//! Any future change that alters a digest here is a *semantic* change to
+//! Any future change that alters a value here is a *semantic* change to
 //! the simulator and must re-pin deliberately, with the old and new
-//! digests in the commit message.
+//! values in the commit message.
 
 use bevra::prelude::*;
-use bevra::sim::{legacy, QueueKind, RetryPolicy, SimReport};
+use bevra::sim::{RetryPolicy, SimReport};
 use std::sync::Arc;
 
-/// Golden `SimReport::digest()` values captured from the pre-refactor
-/// event loop (commit `bee8d8d`) on the corpus below, alongside each run's
-/// completed-flow count as a cheap second witness.
-const GOLDEN: [(u64, u64); 10] = [
-    (0x7CB832531D8DA00B, 30042),
-    (0xDF40388A535875BC, 26748),
-    (0x1316958BBEAA06E9, 27165),
-    (0x02778A634F7C167A, 29741),
-    (0x0AE85D16A0820773, 120460),
-    (0x7718EDADC9111A41, 29801),
-    (0xAE173DE88E5BC624, 25589),
-    (0xF5A0B358E49BC923, 30335),
-    (0x0F16C20CEAB5E51B, 28599),
-    (0x8A216240CCC906E3, 8990),
+/// `(SimReport::digest(), completed, events)` captured from the original
+/// binary-heap event loop (digests and completed counts at commit
+/// `bee8d8d`, event counts from the same loop before its removal) on the
+/// corpus below.
+const GOLDEN: [(u64, u64, u64); 10] = [
+    (0x7CB8_3253_1D8D_A00B, 30_042, 62_112),
+    (0xDF40_388A_5358_75BC, 26_748, 58_629),
+    (0x1316_958B_BEAA_06E9, 27_165, 54_960),
+    (0x0277_8A63_4F7C_167A, 29_741, 61_585),
+    (0x0AE8_5D16_A082_0773, 120_460, 241_609),
+    (0x7718_EDAD_C911_1A41, 29_801, 76_469),
+    (0xAE17_3DE8_8E5B_C624, 25_589, 57_200),
+    (0xF5A0_B358_E49B_C923, 30_335, 62_715),
+    (0x0F16_C20C_EAB5_E51B, 28_599, 60_635),
+    (0x8A21_6240_CCC9_06E3, 8_990, 20_000),
 ];
+
+/// `(budget, digest, completed)` of corpus[2] cut by the event-budget
+/// watchdog, captured from the original binary-heap event loop.
+const TRUNCATED: [(u64, u64, u64); 2] =
+    [(1_000, 0x84E7_70AF_342E_39C3, 233), (7_777, 0xFA06_E822_E717_8E5E, 3_616)];
 
 /// The pinned corpus: one config per behavioral regime of the simulator.
 fn corpus() -> Vec<SimConfig> {
@@ -99,55 +102,35 @@ fn summary(r: &SimReport) -> String {
     )
 }
 
-/// The new SoA loop reproduces the committed pre-refactor digests exactly,
-/// on both queue backends, and the preserved legacy oracle still produces
-/// them too — three independent implementations, one bit pattern.
+/// The event loop reproduces the committed digest, completed count, and
+/// event count of every corpus run.
 #[test]
-fn corpus_digests_match_golden_on_all_implementations() {
+fn corpus_digests_match_golden() {
     for (i, cfg) in corpus().into_iter().enumerate() {
-        let (digest, completed) = GOLDEN[i];
-        let wheel = Simulation::new(cfg.clone()).run_on(QueueKind::Wheel);
-        let heap = Simulation::new(cfg.clone()).run_on(QueueKind::Heap);
-        let oracle = legacy::run(&cfg);
+        let report = Simulation::new(cfg).run();
         assert_eq!(
-            wheel.digest(),
-            digest,
-            "corpus[{i}]: wheel loop drifted from golden — {}",
-            summary(&wheel)
+            (report.digest(), report.completed, report.events),
+            GOLDEN[i],
+            "corpus[{i}]: drifted from golden — {}",
+            summary(&report)
         );
-        assert_eq!(wheel.completed, completed, "corpus[{i}]: completed-count witness drifted");
-        assert_eq!(
-            heap.digest(),
-            digest,
-            "corpus[{i}]: heap-backed new loop drifted from golden — {}",
-            summary(&heap)
-        );
-        assert_eq!(
-            oracle.digest(),
-            digest,
-            "corpus[{i}]: legacy oracle drifted from golden — {}",
-            summary(&oracle)
-        );
-        // The digest folds the census and welfare accumulators; also pin
-        // the raw event count (excluded from the digest by design).
-        assert_eq!(wheel.events, oracle.events, "corpus[{i}]: event count diverged from oracle");
-        assert_eq!(wheel.events, heap.events, "corpus[{i}]: event count diverged across queues");
     }
 }
 
-/// The budget watchdog truncates identically across all three
-/// implementations: same event count, same partial census, same digest.
+/// The budget watchdog stops at exactly the budget and leaves the pinned
+/// partial census and digest.
 #[test]
-fn budget_truncation_is_implementation_independent() {
-    for budget in [1_000u64, 7_777] {
+fn budget_truncation_matches_pinned_digests() {
+    for (budget, digest, completed) in TRUNCATED {
         let mut cfg = corpus().swap_remove(2);
         cfg.max_events = Some(budget);
-        let wheel = Simulation::new(cfg.clone()).run_on(QueueKind::Wheel);
-        let heap = Simulation::new(cfg.clone()).run_on(QueueKind::Heap);
-        let oracle = legacy::run(&cfg);
-        assert_eq!(wheel.events, budget, "watchdog must stop exactly at the budget");
-        assert_eq!(wheel.digest(), heap.digest(), "budget {budget}: queues diverged");
-        assert_eq!(wheel.digest(), oracle.digest(), "budget {budget}: oracle diverged");
-        assert_eq!(heap.events, oracle.events, "budget {budget}: event counts diverged");
+        let report = Simulation::new(cfg).run();
+        assert_eq!(report.events, budget, "watchdog must stop exactly at the budget");
+        assert_eq!(
+            (report.digest(), report.completed),
+            (digest, completed),
+            "budget {budget}: drifted from pin — {}",
+            summary(&report)
+        );
     }
 }

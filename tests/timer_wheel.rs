@@ -1,10 +1,11 @@
 //! Property wall around the timer-wheel event queue.
 //!
-//! The wheel ([`bevra::sim::TimerWheelQueue`]) replaced the binary heap in
-//! the simulator's hot loop; the simulator's digests are only trustworthy
-//! if the wheel's dequeue order is *exactly* the heap's `(time, seq)`
-//! total order. The randomized equivalence property here drives both
-//! queues through the same push/pop stream — same-timestamp ties,
+//! The wheel ([`bevra::sim::TimerWheelQueue`]) is the simulator's only
+//! pending-event set; the simulator's digests are only trustworthy if its
+//! dequeue order is *exactly* a min-heap's `(time, seq)` total order. The
+//! oracle is `std::collections::BinaryHeap<Reverse<Entry>>`. The
+//! randomized equivalence property here drives both queues through the
+//! same push/pop stream — same-timestamp ties,
 //! far-future times that overflow the wheel's covered horizon, pops
 //! interleaved with pushes so the cursor advances mid-stream — across
 //! several granularities, and demands bit-identical pop sequences.
@@ -17,9 +18,13 @@
 //! the property has teeth, and the shrinker makes its failures readable.
 
 use bevra::sim::events::{Entry, EventKind};
-use bevra::sim::queue::{BinaryHeapQueue, EventQueue};
 use bevra::sim::TimerWheelQueue;
 use bevra_check::{choice, ensure, int_range, vec_of, Checker};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The oracle: `std`'s binary heap as a min-heap on `(time, seq)`.
+type Heap = BinaryHeap<Reverse<Entry>>;
 
 /// Build the event stream from raw codes: `time = code / 8 × scale`, so
 /// repeated codes collide to exact same-timestamp ties (seq must break
@@ -48,13 +53,11 @@ fn stream(codes: &[(u64, f64)]) -> Vec<Entry> {
 /// the popped `(time-bits, seq)` sequence or on a length mismatch.
 fn equivalent_on(events: &[Entry], granularity: f64) -> Result<(), String> {
     let mut wheel = TimerWheelQueue::with_granularity(granularity);
-    let mut heap = BinaryHeapQueue::new();
+    let mut heap = Heap::new();
     let mut popped = 0usize;
-    let mut check_pop = |wheel: &mut TimerWheelQueue,
-                         heap: &mut BinaryHeapQueue|
-     -> Result<(), String> {
+    let mut check_pop = |wheel: &mut TimerWheelQueue, heap: &mut Heap| -> Result<(), String> {
         let w = wheel.pop();
-        let h = heap.pop();
+        let h = heap.pop().map(|Reverse(e)| e);
         let key = |e: &Entry| (e.time.to_bits(), e.seq);
         popped += 1;
         ensure(w.as_ref().map(key) == h.as_ref().map(key), || {
@@ -65,7 +68,7 @@ fn equivalent_on(events: &[Entry], granularity: f64) -> Result<(), String> {
     };
     for (i, e) in events.iter().enumerate() {
         wheel.push(*e);
-        heap.push(*e);
+        heap.push(Reverse(*e));
         if i % 3 == 2 {
             check_pop(&mut wheel, &mut heap)?;
         }
@@ -119,13 +122,13 @@ fn seeded_off_by_one_slot_is_falsified_and_shrunk_to_minimal_witness() {
                 let pairs: Vec<(u64, f64)> = codes.iter().map(|&c| (c, 1.0)).collect();
                 let events = stream(&pairs);
                 let mut wheel = TimerWheelQueue::with_granularity(0.125).with_slot_nudge(1);
-                let mut heap = BinaryHeapQueue::new();
+                let mut heap = Heap::new();
                 for e in &events {
                     wheel.push(*e);
-                    heap.push(*e);
+                    heap.push(Reverse(*e));
                 }
                 let mut step = 0usize;
-                while let Some(h) = heap.pop() {
+                while let Some(Reverse(h)) = heap.pop() {
                     let w = wheel.pop();
                     step += 1;
                     ensure(w.map(|e| (e.time.to_bits(), e.seq)) == Some((h.time.to_bits(), h.seq)), || {
@@ -171,7 +174,7 @@ fn seeded_off_by_one_slot_is_falsified_and_shrunk_to_minimal_witness() {
 /// Exotic-but-legal timestamps survive a round trip in (time, seq) order:
 /// negative times, `-0.0` vs `+0.0` (which `total_cmp` orders as
 /// `-0.0 < +0.0` despite comparing `==`), and both infinities.
-/// The simulator never schedules these, but the queue trait makes no such
+/// The simulator never schedules these, but the wheel's API makes no such
 /// promise, and the differential wall should hold on the full domain.
 #[test]
 fn wheel_handles_exotic_timestamps_like_the_heap() {
