@@ -1,8 +1,9 @@
 //! Bench: the sweep engine — serial vs parallel vs cached (warm) sweeps
 //! over the Figure 2/3 grids, the parallel welfare-table build, and the
 //! value-kernel paths (scalar per-point vs grid-batched vs warm
-//! persistent cache) on the Figure 4 algebraic/adaptive setting. This is
-//! the acceptance bench for the engine's speedup claims; results land in
+//! persistent cache) on the Figure 4 algebraic/adaptive setting, and the
+//! libm-vs-port `expm1` head-to-head of the exact path. This is the
+//! acceptance bench for the engine's speedup claims; results land in
 //! `BENCH_sweep.json` (see EXPERIMENTS.md § "Benchmark artifact schema").
 
 use bevra_core::{sweep_grid_fused, DiscreteModel, PiEval};
@@ -171,5 +172,40 @@ fn kernel_sweeps(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-criterion_group!(benches, engine_sweeps, kernel_sweeps);
+/// Head-to-head for the exact path's `expm1` on one pinned slice of
+/// Figure 4 arguments `−b²/(κ+b)`, `b = C/k`: the 48 fig4 capacities
+/// against 256 admission levels log-spaced over the 2^20-entry table.
+/// `kernel_expm1_libm` is the scalar `f64::exp_m1` loop the exact path
+/// ran before; `kernel_expm1_port` is the verified dispatched port
+/// (`bevra_num::expm1`, the path `AdaptiveExp::value_slice` runs).
+/// `scripts/bench_expm1.sh` runs just these two rows.
+fn expm1_head_to_head(c: &mut Criterion) {
+    let kappa = AdaptiveExp::paper().kappa;
+    let ks: Vec<f64> = (0..256).map(|i| (f64::from(i) * 20.0 / 255.0).exp2().round()).collect();
+    let xs: Vec<f64> = grid(48)
+        .iter()
+        .flat_map(|&cap| ks.iter().map(move |&k| cap / k))
+        .map(|b| -(b * b / (kappa + b)))
+        .collect();
+    let n = xs.len();
+    let mut out = vec![0.0; xs.len()];
+    c.bench_function("kernel_expm1_libm", |b| {
+        b.points(n);
+        b.iter(|| {
+            for (o, &x) in out.iter_mut().zip(black_box(&xs)) {
+                *o = x.exp_m1();
+            }
+            black_box(&out);
+        });
+    });
+    c.bench_function("kernel_expm1_port", |b| {
+        b.points(n);
+        b.iter(|| {
+            bevra_num::expm1::expm1_nonpos_slice(black_box(&xs), &mut out);
+            black_box(&out);
+        });
+    });
+}
+
+criterion_group!(benches, engine_sweeps, kernel_sweeps, expm1_head_to_head);
 criterion_main!(benches);

@@ -19,7 +19,7 @@
 //!
 //! | `BEVRA_KERNEL` | enum | parity | π evaluation |
 //! |---|---|---|---|
-//! | `batch` (default) | [`PiEval::Exact`] | bitwise | libm, blocked per `k` |
+//! | `batch` (default) | [`PiEval::Exact`] | bitwise | host libm, or its verified `expm1` port, blocked per `k` |
 //! | `fast` | [`PiEval::Fast`] | ≤ 1e-13 rel | packed polynomial (B only) |
 //! | `deterministic-portable` | [`PiEval::Portable`] | ≤ 1e-13 rel | scalar polynomial |
 //!
@@ -52,8 +52,6 @@ pub enum ParityClass {
 pub enum SimdLevel {
     /// Scalar code only.
     None,
-    /// Plain loops written for LLVM auto-vectorization.
-    Autovec,
     /// Runtime-dispatched AVX2 intrinsics with a scalar fallback that is
     /// bitwise identical to the packed path.
     Avx2,
@@ -70,7 +68,6 @@ impl SimdLevel {
     pub fn as_str(self) -> &'static str {
         match self {
             SimdLevel::None => "none",
-            SimdLevel::Autovec => "autovec",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Avx512 => "avx512",
             SimdLevel::Neon => "neon",
@@ -80,8 +77,9 @@ impl SimdLevel {
 
 /// Map the numeric substrate's resolved dispatch tier
 /// ([`bevra_num::simd::level`], honoring `BEVRA_SIMD`) onto the kernel
-/// vocabulary, so the fast backend's capability record reflects what
-/// actually executes.
+/// vocabulary, so the capability records of the dispatched backends
+/// (`batch`'s `expm1` port, `fast`'s polynomial) reflect what actually
+/// executes.
 #[must_use]
 pub fn resolved_simd_level() -> SimdLevel {
     match bevra_num::simd::level() {
@@ -131,7 +129,10 @@ impl PiEval {
             PiEval::Exact => KernelCapability {
                 name: "batch",
                 parity: ParityClass::Bitwise,
-                simd: SimdLevel::Autovec,
+                // The exponential families' π pass is the tier-dispatched
+                // `expm1` port (`bevra_num::expm1`); tiers never change its
+                // bits, so the tier does not key the cache.
+                simd: resolved_simd_level(),
                 portable: false,
                 cache_tag: 0,
             },

@@ -24,6 +24,10 @@
 //! benchmark name, so running one bench target refreshes only its own
 //! rows). A benchmark that sweeps a grid can declare the grid size with
 //! [`Bencher::points`] so the artifact carries per-point normalization.
+//!
+//! As in Criterion, the first non-flag argument after `--` filters by
+//! substring: `cargo bench --bench engine -- kernel_expm1` runs (and
+//! refreshes) only the rows whose names contain `kernel_expm1`.
 
 use std::hint;
 use std::path::PathBuf;
@@ -83,11 +87,16 @@ pub struct Criterion {
 }
 
 impl Criterion {
-    /// Run `f` as a named benchmark and print its timing summary.
+    /// Run `f` as a named benchmark and print its timing summary —
+    /// unless a command-line filter excludes `name` (see module docs).
     pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
+        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+        if filter.is_some_and(|f| !name.contains(f.as_str())) {
+            return self;
+        }
         let mut b =
             Bencher { samples: Vec::new(), window: measure_window(), points: 1, joules: None };
         f(&mut b);

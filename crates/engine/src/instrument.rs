@@ -63,7 +63,7 @@ pub struct SweepHealth {
     /// built or gamma-only ledgers).
     pub kernel: Option<String>,
     /// Resolved SIMD dispatch tier of the backend's hot loop
-    /// ([`bevra_core::kernel::SimdLevel::as_str`]): `"none"`, `"autovec"`,
+    /// ([`bevra_core::kernel::SimdLevel::as_str`]): `"none"`,
     /// `"avx2"`, `"avx512"`, or `"neon"`. `None` when no kernel stamp
     /// applies. Informational — dispatch never changes result bits — but
     /// recorded so cross-machine ledger comparisons can tell a genuine

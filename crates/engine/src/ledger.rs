@@ -58,7 +58,7 @@ pub struct LedgerRecord {
     /// Capability name of the kernel backend that evaluated the run
     /// (empty when no engine sweep was involved).
     pub kernel: String,
-    /// Resolved SIMD dispatch tier of that backend (`"none"`, `"autovec"`,
+    /// Resolved SIMD dispatch tier of that backend (`"none"`,
     /// `"avx2"`, `"avx512"`, `"neon"`; empty when no kernel stamp
     /// applies). Appended to the schema mid-stream: readers treat an
     /// absent field as `"unknown"`, so pre-existing ledger lines keep

@@ -183,10 +183,13 @@ fn one_minus_exp_neg_pos12(x: f64) -> f64 {
 // SSE2 (2 lanes), while the wrappers let LLVM widen the identical loop
 // to 4 or 8 lanes. The *per-element arithmetic is the same
 // instruction-for-instruction semantics at every tier* — plain IEEE
-// mul/add/div/min/max/convert, never FMA contraction — so all paths
-// produce bitwise-identical results and the dispatch is purely a
-// throughput decision (the welfare kernels spend most of their time
-// here; see `bevra_core::discrete_batch`).
+// mul/add/div/min/max/convert, no FMA contraction in these bodies — so
+// all paths produce bitwise-identical results and the dispatch is purely
+// a throughput decision (the welfare kernels spend most of their time
+// here; see `bevra_core::discrete_batch`). The exact path's `expm1` port
+// (`crate::expm1`) shares this dispatch under the same rule: it contracts
+// exactly where the verified host libm does, and identically at every
+// tier that runs it.
 
 #[inline(always)]
 fn plain_body(xs: &[f64], out: &mut [f64]) {

@@ -8,6 +8,8 @@
 //! endpoint-singular integrals (the continuum model), careful series
 //! summation (the discrete model), and a few special functions (`ln Γ` for
 //! Poisson probabilities, Lambert `W` for the closed-form welfare optima).
+//! The exact welfare path also gets its own `expm1` ([`expm1`]): a port of
+//! the host libm's, verified against it at run time and SIMD-dispatched.
 //!
 //! The Rust numeric ecosystem is thin, so this crate implements everything
 //! from scratch with the same design goals as the networking guides this
@@ -24,6 +26,7 @@
 
 pub mod env;
 pub mod error;
+pub mod expm1;
 pub mod fastexp;
 pub mod fixed_point;
 pub mod int_search;

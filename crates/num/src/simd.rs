@@ -1,10 +1,12 @@
 //! Cached SIMD-tier detection and the `BEVRA_SIMD` override.
 //!
 //! Every dispatched slice kernel in this crate ([`crate::fastexp`],
-//! [`crate::sum`]) compiles one portable body at several vector widths
-//! behind the bit-parity contract (identical IEEE lane arithmetic, never
-//! FMA), so *which* tier runs is purely a throughput decision. This module
-//! is the single place that decision is made:
+//! [`crate::sum`], [`crate::expm1`]) compiles one portable body at several
+//! vector widths behind the bit-parity contract (identical IEEE lane
+//! arithmetic at every tier: no FMA in the fast and summation bodies, and
+//! in the `expm1` port FMA exactly where the verified host libm fuses), so
+//! *which* tier runs is purely a throughput decision. This module is the
+//! single place that decision is made:
 //!
 //! * [`detected`] probes the CPU once per call (the `std_detect` macros
 //!   cache internally) and reports the widest supported [`Level`];

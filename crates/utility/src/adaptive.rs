@@ -89,20 +89,13 @@ impl Utility for AdaptiveExp {
 
     fn value_slice(&self, bs: &[f64], out: &mut [f64]) {
         assert_eq!(bs.len(), out.len(), "bandwidth/output slices must match");
-        // Two passes, each bitwise `value` per element. The exponent is
-        // pure IEEE `+ × ÷` and vectorizes; the libm `exp_m1` calls then
-        // run back to back instead of interleaved with the caller's
-        // accumulation. Pass 1 stores `value`'s own negated exponent, not
-        // the exponent: the compiler may fold that negation into the
-        // division, which moves the sign of the NaN that b = +∞ produces,
-        // so both paths must hand it the same expression. b ≤ 0 (and
-        // −0.0) selects exactly 0.
-        for (o, &b) in out.iter_mut().zip(bs) {
-            *o = -self.exponent(b);
-        }
-        for (o, &b) in out.iter_mut().zip(bs) {
-            *o = if b <= 0.0 { 0.0 } else { -o.exp_m1() };
-        }
+        // One fused call, bitwise `value` per element: the exponent, the
+        // host-verified `expm1` port (libm where no port variant matches)
+        // and the b ≤ 0 select. NaN lanes (b = NaN, +∞) come from `value`,
+        // called out of line through the opaque `oracle` so the bits are
+        // those of the very code a caller's `value` runs.
+        let oracle = std::hint::black_box(self as &dyn Utility);
+        bevra_num::expm1::one_minus_exp_slice(bs, out, |b| -self.exponent(b), |b| oracle.value(b));
     }
 
     fn value_slice_fast(&self, bs: &[f64], out: &mut [f64]) {

@@ -69,15 +69,10 @@ impl Utility for ExponentialElastic {
 
     fn value_slice(&self, bs: &[f64], out: &mut [f64]) {
         assert_eq!(bs.len(), out.len(), "bandwidth/output slices must match");
-        // Same two-pass shape as `AdaptiveExp::value_slice`: a vectorized
-        // exponent pass, then the libm calls back to back — bitwise
-        // `value` per element, including b ≤ 0, NaN and ±∞.
-        for (o, &b) in out.iter_mut().zip(bs) {
-            *o = -self.rate * b;
-        }
-        for (o, &b) in out.iter_mut().zip(bs) {
-            *o = if b <= 0.0 { 0.0 } else { -o.exp_m1() };
-        }
+        // Same fused call as `AdaptiveExp::value_slice`: bitwise `value`
+        // per element, including b ≤ 0, NaN and ±∞.
+        let oracle = std::hint::black_box(self as &dyn Utility);
+        bevra_num::expm1::one_minus_exp_slice(bs, out, |b| -self.rate * b, |b| oracle.value(b));
     }
 
     fn value_slice_fast(&self, bs: &[f64], out: &mut [f64]) {

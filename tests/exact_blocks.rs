@@ -4,16 +4,20 @@
 //! [`Utility::value_slice`] instead of one [`Utility::value`] call per
 //! table entry. These tests hold that path to the per-element evaluation
 //! it replaces: the slice against `value` for every family on edge inputs,
-//! and the per-point best-effort walk against an element-wise reference
-//! walk across its 64-entry block edges.
+//! the per-point best-effort walk against an element-wise reference walk
+//! across its 64-entry block edges, and the `expm1` port the exponential
+//! families' slices run against the host libm at every SIMD tier.
 
 use bevra::analysis::DiscreteModel;
-use bevra::load::Tabulated;
+use bevra::engine::{Architecture, SweepEngine};
+use bevra::load::{Algebraic, Tabulated, PAPER_MEAN_LOAD};
+use bevra::num::expm1::{expm1_nonpos_slice, path, probe_corpus};
+use bevra::num::simd::{self, Level};
 use bevra::num::NeumaierSum;
 use bevra::utility::{
     AdaptiveExp, AlgebraicTail, ExponentialElastic, PowerLow, Ramp, Rigid, Saturating, Utility,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Edge inputs plus the bandwidths `C/k` Figure 4 evaluates: 48 capacities
@@ -183,4 +187,111 @@ fn per_point_walk_is_bitwise_across_block_edges() {
     }
     assert_eq!(rigid_seen, [true; 3], "rigid exits before/on/after the first boundary");
     assert_eq!(adaptive_seen, [true; 3], "adaptive exits before/on/after the first boundary");
+}
+
+/// `n` seeded arguments `x ≤ 0` in three interleaved streams: uniform
+/// [−60, 0], log-uniform magnitudes 1e-20…1e3, and Figure 4's
+/// `−b²/(κ+b)` with `b` log-uniform over [1e-4, 1e3].
+fn seeded_args(n: usize, seed: u64) -> Vec<f64> {
+    let mut s = seed | 1;
+    let mut unit = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let kappa = AdaptiveExp::paper().kappa;
+    (0..n)
+        .map(|i| match i % 3 {
+            0 => -60.0 * unit(),
+            1 => -(10f64.powf(-20.0 + 23.0 * unit())),
+            _ => {
+                let b = 10f64.powf(-4.0 + 7.0 * unit());
+                -(b * b / (kappa + b))
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn expm1_port_is_libm_at_every_tier() {
+    // The probe corpus plus 10^7 seeded arguments, in 10^6-argument
+    // chunks, through the same dispatched entry the exponential families'
+    // `value_slice` runs, at every tier this host can force.
+    let tiers: Vec<Level> = [Level::Scalar, Level::Avx2, Level::Avx512, Level::Neon]
+        .into_iter()
+        .filter(|l| l.runnable_at(simd::detected()))
+        .collect();
+    let before = simd::level();
+    let mut chunks = vec![probe_corpus()];
+    chunks.extend((0..10u64).map(|i| seeded_args(1_000_000, 0x5EED_0000 + i)));
+    let mut out = Vec::new();
+    for xs in &chunks {
+        let want: Vec<u64> = xs.iter().map(|x| x.exp_m1().to_bits()).collect();
+        out.resize(xs.len(), 0.0);
+        for &tier in &tiers {
+            simd::force_level(tier);
+            expm1_nonpos_slice(xs, &mut out);
+            for ((&x, &o), &w) in xs.iter().zip(&out).zip(&want) {
+                assert_eq!(
+                    o.to_bits(),
+                    w,
+                    "expm1({x:e}) along {:?} at tier {}: {o:e} is not libm's {:e}",
+                    path(),
+                    tier.as_str(),
+                    f64::from_bits(w)
+                );
+            }
+        }
+    }
+    simd::force_level(before);
+}
+
+/// Adaptive utility that checks every `value_slice` element against
+/// `value` (the libm definition) and counts what it checked.
+struct CheckedAdaptive {
+    inner: AdaptiveExp,
+    checked: AtomicU64,
+}
+
+impl Utility for CheckedAdaptive {
+    fn value(&self, b: f64) -> f64 {
+        self.inner.value(b)
+    }
+    fn name(&self) -> &'static str {
+        "adaptive"
+    }
+    fn value_slice(&self, bs: &[f64], out: &mut [f64]) {
+        self.inner.value_slice(bs, out);
+        for (&b, &o) in bs.iter().zip(out.iter()) {
+            let want = self.inner.value(b);
+            assert_eq!(o.to_bits(), want.to_bits(), "π({b:e}) = {o:e}, libm {want:e}");
+        }
+        self.checked.fetch_add(bs.len() as u64, Ordering::Relaxed);
+    }
+}
+
+#[test]
+#[ignore = "exhaustive over the shipped fig4 run (~1e9 arguments); run with --release -- --ignored"]
+fn fig4_adaptive_arguments_are_libm_exhaustively() {
+    // The adaptive half of `figures::fig4(Quality::Full)`: the same
+    // 2^20-entry algebraic table, 48-capacity sweep (Δ probes included)
+    // and 801-point value tables, so every argument the shipped run hands
+    // the `expm1` port is checked against libm.
+    let alg = Algebraic::from_mean(3.0, PAPER_MEAN_LOAD).expect("fig4 calibration");
+    let load = Arc::new(Tabulated::from_model(&alg, 1e-9, 1 << 20));
+    let kbar = load.mean();
+    let utility = CheckedAdaptive { inner: AdaptiveExp::paper(), checked: AtomicU64::new(0) };
+    let engine = SweepEngine::new(DiscreteModel::new(Arc::clone(&load), utility));
+    let (lo, hi) = (kbar / 20.0, 10.0 * kbar);
+    let ratio = (hi / lo).powf(1.0 / 47.0);
+    let cs: Vec<f64> = (0..48).map(|i| lo * ratio.powi(i)).collect();
+    let sweep = engine.sweep_checked(&cs);
+    assert_eq!(sweep.outcomes.len(), 48);
+    for arch in [Architecture::BestEffort, Architecture::Reservation] {
+        let _ = engine.value_table_checked(arch, kbar, 300.0 * kbar, 800);
+    }
+    let checked = engine.model().utility().checked.load(Ordering::Relaxed);
+    eprintln!("checked {checked} adaptive arguments along {:?}", path());
+    assert!(checked > 1_000_000_000, "only {checked} arguments reached value_slice");
 }
