@@ -7,25 +7,12 @@
 //! `BENCH_sweep.json` (see EXPERIMENTS.md § "Benchmark artifact schema").
 
 use bevra_core::{sweep_grid_fused, DiscreteModel, PiEval};
-use bevra_obs::energy::EnergyProbe;
 use bevra_engine::{Architecture, CacheMode, ExecMode, Store, SweepEngine};
 use bevra_load::{Algebraic, Geometric, Poisson, Tabulated, PAPER_MEAN_LOAD};
 use bevra_utility::AdaptiveExp;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
-
-/// Average package joules per call of `f` over `iters` calls, from the
-/// optional RAPL probe; `None` (→ JSON null) when the powercap hierarchy
-/// is absent or unreadable, as in most CI containers.
-fn measure_joules<F: FnMut()>(iters: u32, mut f: F) -> Option<f64> {
-    let probe = EnergyProbe::open()?;
-    let reading = probe.begin()?;
-    for _ in 0..iters {
-        f();
-    }
-    reading.joules().map(|j| j / f64::from(iters))
-}
 
 fn grid(n: usize) -> Vec<f64> {
     let (lo, hi) = (PAPER_MEAN_LOAD / 20.0, 10.0 * PAPER_MEAN_LOAD);
@@ -82,9 +69,9 @@ fn engine_sweeps(c: &mut Criterion) {
 /// The value-kernel acceptance benches: `k_max`/`B`/`R` for a 48-point
 /// Figure 4 grid (algebraic z = 3 load, adaptive utility, 2^18-entry
 /// table), isolating the kernels from the off-grid gap root-finder. Four
-/// canonical rows: per-point model calls, grid-batched (fast π), parallel
-/// batched, and warm persistent cache; plus a row per remaining backend
-/// (`PiEval::Exact`, `PiEval::Portable`) and the bare fused pass.
+/// canonical rows: per-point model calls, grid-batched, parallel batched,
+/// and warm persistent cache, all on the default `PiEval::Exact` backend;
+/// plus the `PiEval::Portable` backend and the bare fused pass.
 fn kernel_sweeps(c: &mut Criterion) {
     let alg = Algebraic::from_mean(3.0, PAPER_MEAN_LOAD).expect("paper fig4 family");
     let load = Arc::new(Tabulated::from_model(&alg, 1e-9, 1 << 18));
@@ -106,14 +93,6 @@ fn kernel_sweeps(c: &mut Criterion) {
     c.bench_function("kernel_sweep_batched", |b| {
         b.points(n);
         b.iter(|| {
-            let eng = SweepEngine::with_mode(model(), ExecMode::Serial)
-                .with_kernel(PiEval::Fast);
-            eng.prime(black_box(&cs));
-        });
-    });
-    c.bench_function("kernel_sweep_batched_exact", |b| {
-        b.points(n);
-        b.iter(|| {
             let eng =
                 SweepEngine::with_mode(model(), ExecMode::Serial).with_kernel(PiEval::Exact);
             eng.prime(black_box(&cs));
@@ -127,18 +106,14 @@ fn kernel_sweeps(c: &mut Criterion) {
             eng.prime(black_box(&cs));
         });
     });
-    // The bare fused B+R pass (fast π) at the detected SIMD tier, without
-    // the engine around it. CI holds it to an absolute per-row bound
-    // against its committed baseline (perf_smoke.py --row-threshold).
-    // Energy is recorded when the RAPL probe is available and reported as
-    // joules_per_sweep (null otherwise, never gated).
+    // The bare fused B+R pass of the exact (default) backend at the
+    // detected SIMD tier, without the engine around it. CI holds it to an
+    // absolute per-row bound against its committed baseline
+    // (perf_smoke.py --row-threshold).
     c.bench_function("kernel_sweep_fused", |b| {
         b.points(n);
         let m = model();
-        b.iter(|| black_box(sweep_grid_fused(black_box(&m), black_box(&cs), PiEval::Fast)));
-        b.record_joules(measure_joules(8, || {
-            black_box(sweep_grid_fused(black_box(&m), black_box(&cs), PiEval::Fast));
-        }));
+        b.iter(|| black_box(sweep_grid_fused(black_box(&m), black_box(&cs), PiEval::Exact)));
     });
 
     let threads = bevra_engine::thread_count();
@@ -146,7 +121,7 @@ fn kernel_sweeps(c: &mut Criterion) {
         b.points(n);
         b.iter(|| {
             let eng = SweepEngine::with_mode(model(), ExecMode::Parallel { threads })
-                .with_kernel(PiEval::Fast);
+                .with_kernel(PiEval::Exact);
             eng.prime(black_box(&cs));
         });
     });
@@ -157,14 +132,14 @@ fn kernel_sweeps(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
     let pcache = || Store::new(&dir, CacheMode::ReadWrite);
     SweepEngine::with_mode(model(), ExecMode::Serial)
-        .with_kernel(PiEval::Fast)
+        .with_kernel(PiEval::Exact)
         .with_store(pcache())
         .prime(&cs);
     c.bench_function("kernel_sweep_warm_cache", |b| {
         b.points(n);
         b.iter(|| {
             let eng = SweepEngine::with_mode(model(), ExecMode::Serial)
-                .with_kernel(PiEval::Fast)
+                .with_kernel(PiEval::Exact)
                 .with_store(pcache());
             eng.prime(black_box(&cs));
         });

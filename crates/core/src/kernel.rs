@@ -20,8 +20,10 @@
 //! | `BEVRA_KERNEL` | enum | parity | π evaluation |
 //! |---|---|---|---|
 //! | `batch` (default) | [`PiEval::Exact`] | bitwise | host libm, or its verified `expm1` port, blocked per `k` |
-//! | `fast` | [`PiEval::Fast`] | ≤ 1e-13 rel | packed polynomial (B only) |
-//! | `deterministic-portable` | [`PiEval::Portable`] | ≤ 1e-13 rel | scalar polynomial |
+//! | `deterministic-portable` | [`PiEval::Portable`] | ≤ [`PORTABLE_PARITY_REL`] rel | scalar polynomial |
+//!
+//! Cache tags 1 and 3 belonged to the retired `fast` backend and are
+//! never reused, so rows it cached can never be served to a live backend.
 //!
 //! The `deterministic-portable` backend evaluates **every** π through
 //! [`bevra_utility::Utility::value_portable`] — the branch-free polynomial
@@ -30,7 +32,13 @@
 //! are bit-identical across operating systems, libm versions, and CPU
 //! architectures, and portable artifacts can be pinned by digest.
 
-use crate::discrete_batch::{PiEval, FAST_TRUNC_REL};
+use crate::discrete_batch::PiEval;
+
+/// Relative parity budget of the `deterministic-portable` backend against
+/// the per-point reference: its polynomial `π` is within 8 ULPs of libm's,
+/// and `B`/`R` are positively weighted means of such values, so the
+/// observed distance (~1e-16) sits far inside this bound.
+pub const PORTABLE_PARITY_REL: f64 = 1e-13;
 
 /// How close a backend's results are to the per-point reference path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,9 +85,8 @@ impl SimdLevel {
 
 /// Map the numeric substrate's resolved dispatch tier
 /// ([`bevra_num::simd::level`], honoring `BEVRA_SIMD`) onto the kernel
-/// vocabulary, so the capability records of the dispatched backends
-/// (`batch`'s `expm1` port, `fast`'s polynomial) reflect what actually
-/// executes.
+/// vocabulary, so the `batch` capability record reflects the tier its
+/// `expm1` port actually executes at.
 #[must_use]
 pub fn resolved_simd_level() -> SimdLevel {
     match bevra_num::simd::level() {
@@ -118,7 +125,7 @@ pub struct KernelCapability {
 impl PiEval {
     /// Every backend, default first — what the parity walls, the chaos
     /// harness and the benches enumerate.
-    pub const ALL: [PiEval; 3] = [PiEval::Exact, PiEval::Fast, PiEval::Portable];
+    pub const ALL: [PiEval; 2] = [PiEval::Exact, PiEval::Portable];
 
     /// The backend's self-description. Constant over the life of the
     /// process: the engine hashes parts of it into persistent-cache keys
@@ -136,23 +143,9 @@ impl PiEval {
                 portable: false,
                 cache_tag: 0,
             },
-            PiEval::Fast => KernelCapability {
-                name: "fast",
-                parity: ParityClass::Tolerance(FAST_TRUNC_REL),
-                // Runtime truth, not a static claim: the dispatch tier the
-                // numeric kernels resolved (honoring `BEVRA_SIMD`). SIMD
-                // tier does not key the cache — all tiers produce
-                // identical bits by the wrapper contract.
-                simd: resolved_simd_level(),
-                portable: false,
-                // Tag 3 (formerly 1): the fused k-span sweep changed the
-                // fast backend's result bits, so older cached rows must
-                // not be served to it.
-                cache_tag: 3,
-            },
             PiEval::Portable => KernelCapability {
                 name: "deterministic-portable",
-                parity: ParityClass::Tolerance(FAST_TRUNC_REL),
+                parity: ParityClass::Tolerance(PORTABLE_PARITY_REL),
                 simd: SimdLevel::None,
                 portable: true,
                 cache_tag: 2,

@@ -38,16 +38,16 @@
 //!
 //! Grid priming runs one fused B+R traversal
 //! ([`bevra_core::sweep_grid_fused`]) parameterized by a
-//! [`bevra_core::PiEval`] backend — a closed enum of three. Each backend
+//! [`bevra_core::PiEval`] backend — a closed enum of two. Each backend
 //! self-reports a [`bevra_core::KernelCapability`] record — name, parity
 //! class (`Bitwise` vs `Tolerance`), SIMD level, cache-key tag — that
 //! flows into the persistent-cache key ([`grid_key`]), the
 //! [`SweepHealth`] ledger, and the emitted perf artifacts: `batch`
-//! (`PiEval::Exact`, bitwise, the default), `fast` (`PiEval::Fast`,
-//! vectorized ULP-budgeted exp), and `deterministic-portable`
+//! (`PiEval::Exact`, bitwise, the default) and `deterministic-portable`
 //! (`PiEval::Portable`, integer-scaled exp path with identical bits on
 //! every libm). `BEVRA_KERNEL=<name>` selects one ([`registry`]);
-//! unknown names fall back to `batch` with a warning.
+//! unknown names, including the retired `scalar` and `fast`, fall back
+//! to `batch` with a warning.
 //!
 //! # Determinism
 //!

@@ -8,14 +8,15 @@
 //! |---|---|
 //! | unset | `batch` ([`PiEval::Exact`], bitwise, the default) |
 //! | `batch` | `batch` |
-//! | `fast` | `fast` ([`PiEval::Fast`]) |
 //! | `deterministic-portable`, alias `portable` | [`PiEval::Portable`] |
 //! | anything else | `batch`, with a warning |
 //!
 //! An unknown name never aborts and never changes numeric results: it
 //! falls back to the bitwise default, warns once on stderr, and bumps the
 //! `kernel/unknown_env` counter. This also covers the retired `scalar`
-//! backend, which produced the same bits as `batch`.
+//! backend, which produced the same bits as `batch`, and the retired
+//! tolerance-class `fast` backend, whose requests now get the exact
+//! answer.
 
 use bevra_core::PiEval;
 use std::sync::Once;
@@ -36,7 +37,6 @@ pub struct Selection {
 pub fn resolve(request: Option<&str>) -> Selection {
     let kernel = match request {
         None | Some("batch") => PiEval::Exact,
-        Some("fast") => PiEval::Fast,
         Some("deterministic-portable" | "portable") => PiEval::Portable,
         Some(_) => {
             return Selection {
@@ -76,7 +76,6 @@ mod tests {
         for (req, want) in [
             (None, "batch"),
             (Some("batch"), "batch"),
-            (Some("fast"), "fast"),
             (Some("deterministic-portable"), "deterministic-portable"),
             (Some("portable"), "deterministic-portable"),
         ] {
@@ -84,7 +83,7 @@ mod tests {
             assert_eq!(sel.kernel.capability().name, want, "request {req:?}");
             assert!(sel.warning.is_none(), "request {req:?} warned spuriously");
         }
-        for req in ["scalar", "no-such-backend", "", "BATCH"] {
+        for req in ["scalar", "fast", "no-such-backend", "", "BATCH"] {
             let sel = resolve(Some(req));
             assert_eq!(sel.kernel, PiEval::Exact, "request {req:?}");
             assert!(sel.warning.is_some(), "request {req:?} must warn");

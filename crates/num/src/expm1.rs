@@ -343,7 +343,7 @@ macro_rules! lane_wrappers {
 /// The FMA variant: only in wrappers whose target features include FMA.
 mod fused {
     use super::libm_body;
-    use crate::fastexp::dispatch_simd;
+    use crate::simd::dispatch_simd;
 
     lane_wrappers!(avx2, "x86_64", "avx2,fma", true);
     lane_wrappers!(avx512, "x86_64", "avx512f,fma", true);
@@ -365,7 +365,7 @@ mod fused {
 /// The plain variant: pure IEEE arithmetic, so it runs at every tier.
 mod plain {
     use super::map_body;
-    use crate::fastexp::dispatch_simd;
+    use crate::simd::dispatch_simd;
 
     lane_wrappers!(avx2, "x86_64", "avx2", false);
     lane_wrappers!(avx512, "x86_64", "avx512f", false);

@@ -1,12 +1,12 @@
-//! Fast, vectorization-friendly evaluation of `1 − e^{−x}` for `x ≥ 0`.
+//! Libm-free, deterministic evaluation of `1 − e^{−x}` for `x ≥ 0`.
 //!
-//! The blocking-probability kernels spend most of their time evaluating
-//! utilities of the form `1 − e^{−x}` (exponential-elastic and adaptive
-//! satisfaction curves). `libm`'s `exp_m1` is accurate to < 1 ULP but is a
-//! scalar call with internal branching, so the loop over a load table cannot
-//! auto-vectorize. This module provides [`one_minus_exp_neg`], a branch-free
-//! polynomial evaluation with a bounded error (a few ULPs, see the tests)
-//! whose slice form [`one_minus_exp_neg_slice`] compiles to packed SIMD.
+//! [`one_minus_exp_neg`] is a branch-free polynomial evaluation with a
+//! bounded error (a few ULPs, see the tests) built only from IEEE basic
+//! operations and bit manipulation. Those are correctly rounded on every
+//! platform, so the same input bits give the same output bits on every
+//! OS, libm and CPU. This is the `π` kernel of the exponential families'
+//! `Utility::value_portable` (in `bevra-utility`), which the engine's
+//! `deterministic-portable` backend evaluates.
 //!
 //! # Algorithm
 //!
@@ -21,24 +21,16 @@
 //!    cancellation error.
 //! 2. Evaluate `e^u − 1` by a degree-14 Taylor polynomial (truncation
 //!    error < 1e-16 relative on the reduced range), organized in Estrin
-//!    form so the dependency chain is ~4 fused levels instead of 13 —
-//!    the kernels are latency-bound, and the short chain lets unrolled
-//!    SIMD iterations overlap.
+//!    form so the dependency chain is ~4 levels instead of 13.
 //! 3. Reconstruct: `1 − e^{−x} = (1 − 2^{−n}) − 2^{−n}·(e^u − 1)`, where
 //!    both `2^{−n}` (an exponent-field store, with `n` read straight out of
 //!    the magic sum's mantissa) and `1 − 2^{−n}` (Sterbenz for `n ≤ 53`)
 //!    are exact. For `n = 0` this collapses to `−(e^u − 1)` with no
 //!    cancellation.
 //!
-//! Every step is expressible with `f64` lane arithmetic plus lane-local
-//! bit operations, all of which lower to baseline x86-64 / NEON packed
-//! instructions, so the slice loop auto-vectorizes — and produces
-//! identical bit patterns on every ISA (no FMA contraction is used; the
+//! No FMA contraction is used (Rust never contracts `a * b + c`), and the
 //! magic trick assumes the IEEE default round-to-nearest mode, which Rust
-//! guarantees).
-//!
-//! The result is deterministic: the same input bits always produce the same
-//! output bits, on every platform, scalar or vectorized.
+//! guarantees.
 
 /// High 42 bits of `ln 2`; `n · LN2_HI` is exact for `|n| < 2^20`.
 const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
@@ -139,342 +131,6 @@ pub fn one_minus_exp_neg(x: f64) -> f64 {
     s - c * em
 }
 
-/// A reduced-degree variant of [`one_minus_exp_neg`] for the k-span
-/// kernel below: same range reduction and reconstruction, but the Taylor
-/// polynomial keeps 12 coefficients instead of 14 (truncation ≈ 5e-16
-/// relative on the reduced range — far below the fast kernels' 1e-13
-/// budget but *not* bitwise equal to the 14-term evaluation) and the
-/// low-side clamp is dropped because k-span callers guarantee `x ≥ 0`.
-/// Private on purpose: every caller must go through the k-span API whose
-/// tolerance class is declared.
-#[inline(always)]
-fn one_minus_exp_neg_pos12(x: f64) -> f64 {
-    let x = if x < SATURATE { x } else { SATURATE };
-    let y = x * LOG2_E + ROUND_MAGIC;
-    let nf = y - ROUND_MAGIC;
-    let u = (nf * LN2_HI - x) + nf * LN2_LO;
-    let u2 = u * u;
-    let u4 = u2 * u2;
-    let u8 = u4 * u4;
-    let q0 = INV_FACT[0] + INV_FACT[1] * u;
-    let q1 = INV_FACT[2] + INV_FACT[3] * u;
-    let q2 = INV_FACT[4] + INV_FACT[5] * u;
-    let q3 = INV_FACT[6] + INV_FACT[7] * u;
-    let q4 = INV_FACT[8] + INV_FACT[9] * u;
-    let q5 = INV_FACT[10] + INV_FACT[11] * u;
-    let r0 = q0 + u2 * q1;
-    let r1 = q2 + u2 * q3;
-    let r2 = q4 + u2 * q5;
-    let s0 = r0 + u4 * r1;
-    let p = s0 + u8 * r2;
-    let em = u * p;
-    let c = f64::from_bits((1023 - (y.to_bits() & 0xFF)) << 52);
-    let s = 1.0 - c;
-    s - c * em
-}
-
-// ---------------------------------------------------------------------
-// Slice kernels.
-//
-// Each public slice function has one portable `#[inline(always)]` body.
-// On x86-64 / aarch64 the same body is additionally compiled inside
-// `#[target_feature]` wrappers (AVX2, AVX-512F, NEON) and selected at
-// runtime via [`crate::simd::level`]: the baseline build only assumes
-// SSE2 (2 lanes), while the wrappers let LLVM widen the identical loop
-// to 4 or 8 lanes. The *per-element arithmetic is the same
-// instruction-for-instruction semantics at every tier* — plain IEEE
-// mul/add/div/min/max/convert, no FMA contraction in these bodies — so
-// all paths produce bitwise-identical results and the dispatch is purely
-// a throughput decision (the welfare kernels spend most of their time
-// here; see `bevra_core::discrete_batch`). The exact path's `expm1` port
-// (`crate::expm1`) shares this dispatch under the same rule: it contracts
-// exactly where the verified host libm does, and identically at every
-// tier that runs it.
-
-#[inline(always)]
-fn plain_body(xs: &[f64], out: &mut [f64]) {
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = one_minus_exp_neg(x);
-    }
-}
-
-#[inline(always)]
-fn adaptive_body(bs: &[f64], kappa: f64, out: &mut [f64]) {
-    for (o, &b) in out.iter_mut().zip(bs) {
-        let b = if b > 0.0 { b } else { 0.0 };
-        let x = b * b / (kappa + b);
-        *o = one_minus_exp_neg(x);
-    }
-}
-
-#[inline(always)]
-fn scaled_body(bs: &[f64], rate: f64, out: &mut [f64]) {
-    for (o, &b) in out.iter_mut().zip(bs) {
-        let b = if b > 0.0 { b } else { 0.0 };
-        *o = one_minus_exp_neg(rate * b);
-    }
-}
-
-#[inline(always)]
-fn adaptive_grid_body(cs: &[f64], kf: f64, kappa: f64, out: &mut [f64]) {
-    // x = b²/(κ+b) with b = C/k, rewritten with both numerator and
-    // denominator multiplied by k²:  x = C² / (κk² + Ck).  One division
-    // per lane instead of the two a split "divide then exponent" pass
-    // needs — packed division is the most expensive lane instruction in
-    // the welfare kernels, so this halves their fixed cost. The rewritten
-    // form rounds differently from the split form by a few ULPs (both
-    // evaluate x with ~4 roundings), well inside the fast path's
-    // tolerance budget; `kf·kf` is exact for the table lengths in use
-    // (k < 2^26).
-    let a = kappa * (kf * kf);
-    for (o, &c) in out.iter_mut().zip(cs) {
-        let x = (c * c) / (a + c * kf);
-        // Lanes with C ≤ 0 must yield π = 0 (the select also discards
-        // any Inf/NaN a nonpositive denominator could produce).
-        let x = if c > 0.0 { x } else { 0.0 };
-        *o = one_minus_exp_neg(x);
-    }
-}
-
-/// Number of stride-interleaved Neumaier sub-accumulators every k-span
-/// kernel uses, at **every** ISA tier. Fixing the count (rather than
-/// matching the vector width) fixes the summation order, so the k-span
-/// results are bitwise identical across scalar/AVX2/AVX-512/NEON — the
-/// same contract the slice kernels keep.
-pub const KSPAN_ACCS: usize = 8;
-
-#[inline(always)]
-fn adaptive_kspan_body(
-    c: f64,
-    kappa: f64,
-    k0: f64,
-    pmfs: &[f64],
-    sums: &mut [f64; KSPAN_ACCS],
-    comps: &mut [f64; KSPAN_ACCS],
-) {
-    // x = b²/(κ+b) for b = C/k, rewritten as C² / (k·(κk + C)): one packed
-    // division per admission level, with the factored denominator saving a
-    // multiply over the `κk² + Ck` expansion used by the capacity-grid
-    // slice kernel (the two forms round differently by a few ULPs; both
-    // are inside the declared k-span tolerance).
-    let c2 = c * c;
-    let mut base = k0;
-    let chunks = pmfs.chunks_exact(KSPAN_ACCS);
-    let rem = chunks.remainder();
-    for chunk in chunks {
-        for j in 0..KSPAN_ACCS {
-            let kf = base + j as f64;
-            let x = c2 / (kf * (kappa * kf + c));
-            let pi = one_minus_exp_neg_pos12(x);
-            let v = chunk[j] * kf * pi;
-            let s = sums[j];
-            let t = s + v;
-            let corr = if s.abs() >= v.abs() { (s - t) + v } else { (v - t) + s };
-            comps[j] += corr;
-            sums[j] = t;
-        }
-        base += KSPAN_ACCS as f64;
-    }
-    for (j, &p) in rem.iter().enumerate() {
-        let kf = base + j as f64;
-        let x = c2 / (kf * (kappa * kf + c));
-        let pi = one_minus_exp_neg_pos12(x);
-        let v = p * kf * pi;
-        let s = sums[j];
-        let t = s + v;
-        let corr = if s.abs() >= v.abs() { (s - t) + v } else { (v - t) + s };
-        comps[j] += corr;
-        sums[j] = t;
-    }
-}
-
-macro_rules! isa_wrappers {
-    ($modname:ident, $arch:literal, $feat:literal) => {
-        #[cfg(target_arch = $arch)]
-        mod $modname {
-            //! Wider-lane instantiations of the portable bodies (see the
-            //! section comment above: identical arithmetic, wider lanes).
-            #[target_feature(enable = $feat)]
-            pub unsafe fn plain(xs: &[f64], out: &mut [f64]) {
-                super::plain_body(xs, out);
-            }
-
-            #[target_feature(enable = $feat)]
-            pub unsafe fn adaptive(bs: &[f64], kappa: f64, out: &mut [f64]) {
-                super::adaptive_body(bs, kappa, out);
-            }
-
-            #[target_feature(enable = $feat)]
-            pub unsafe fn scaled(bs: &[f64], rate: f64, out: &mut [f64]) {
-                super::scaled_body(bs, rate, out);
-            }
-
-            #[target_feature(enable = $feat)]
-            pub unsafe fn adaptive_grid(cs: &[f64], kf: f64, kappa: f64, out: &mut [f64]) {
-                super::adaptive_grid_body(cs, kf, kappa, out);
-            }
-
-            #[target_feature(enable = $feat)]
-            pub unsafe fn adaptive_kspan(
-                c: f64,
-                kappa: f64,
-                k0: f64,
-                pmfs: &[f64],
-                sums: &mut [f64; super::KSPAN_ACCS],
-                comps: &mut [f64; super::KSPAN_ACCS],
-            ) {
-                super::adaptive_kspan_body(c, kappa, k0, pmfs, sums, comps);
-            }
-        }
-    };
-}
-
-isa_wrappers!(avx2, "x86_64", "avx2");
-isa_wrappers!(avx512, "x86_64", "avx512f");
-isa_wrappers!(neon, "aarch64", "neon");
-
-/// Dispatch a kernel invocation to the resolved SIMD tier: one arm per
-/// `#[target_feature]` wrapper module, falling through to the portable
-/// body. Every tier computes bit-identical results (see the slice-kernel
-/// section comment), so this is purely a throughput decision.
-macro_rules! dispatch_simd {
-    ($func:ident ( $($arg:expr),* ), $portable:expr) => {
-        match crate::simd::level() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `simd::level()` only reports tiers the running CPU
-            // supports (detection-checked, and `force_level` asserts it).
-            crate::simd::Level::Avx512 => unsafe { avx512::$func($($arg),*) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above — AVX2 support was verified at detection.
-            crate::simd::Level::Avx2 => unsafe { avx2::$func($($arg),*) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: as above — NEON support was verified at detection.
-            crate::simd::Level::Neon => unsafe { neon::$func($($arg),*) },
-            _ => $portable,
-        }
-    };
-}
-
-pub(crate) use dispatch_simd;
-
-/// Evaluate [`one_minus_exp_neg`] over a slice.
-///
-/// `out[i] = 1 − e^{−xs[i]}`. The loop body is branch-free and
-/// auto-vectorizes; results are bitwise identical to calling the scalar
-/// function element-by-element (on every ISA — see the slice-kernel
-/// section comment).
-///
-/// # Panics
-///
-/// Panics if `xs` and `out` have different lengths.
-pub fn one_minus_exp_neg_slice(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "input/output slices must match");
-    dispatch_simd!(plain(xs, out), plain_body(xs, out));
-}
-
-/// The adaptive-utility satisfaction curve over a bandwidth slice:
-/// `out[i] = 1 − e^{−b²/(κ+b)}` with `b = max(bs[i], 0)` (so `b = 0`
-/// gives exactly 0, matching the scalar utility). Fusing the exponent
-/// into the dispatched kernel keeps the whole evaluation on the widest
-/// available vector path; bitwise identical to computing the exponent
-/// scalar-side and calling [`one_minus_exp_neg`] per element.
-///
-/// # Panics
-///
-/// Panics if `bs` and `out` have different lengths.
-pub fn one_minus_exp_neg_adaptive_slice(bs: &[f64], kappa: f64, out: &mut [f64]) {
-    assert_eq!(bs.len(), out.len(), "input/output slices must match");
-    dispatch_simd!(adaptive(bs, kappa, out), adaptive_body(bs, kappa, out));
-}
-
-/// The adaptive satisfaction curve evaluated directly on a **capacity
-/// grid** at admission level `k`: `out[i] = 1 − e^{−x}` with
-/// `x = C² / (κk² + Ck)` — algebraically equal to `b²/(κ+b)` for
-/// `b = C/k`, but computed with a single packed division per lane where
-/// the split "bandwidths then exponent" pass needs two (and nonpositive
-/// capacities yield exactly 0). Deterministic, but *not* bitwise equal to
-/// the split form: the rewritten exponent rounds differently by a few
-/// ULPs, within the fast kernels' tolerance budget (see the property
-/// test `adaptive_grid_matches_split_form_closely`). Callers needing the
-/// bitwise-to-scalar composition must divide first and use
-/// [`one_minus_exp_neg_adaptive_slice`].
-///
-/// # Panics
-///
-/// Panics if `cs` and `out` have different lengths.
-pub fn one_minus_exp_neg_adaptive_grid(cs: &[f64], kf: f64, kappa: f64, out: &mut [f64]) {
-    assert_eq!(cs.len(), out.len(), "input/output slices must match");
-    dispatch_simd!(adaptive_grid(cs, kf, kappa, out), adaptive_grid_body(cs, kf, kappa, out));
-}
-
-/// The exponential-elastic curve over a bandwidth slice:
-/// `out[i] = 1 − e^{−rate·b}` with `b = max(bs[i], 0)`. Same fusion and
-/// bitwise contract as [`one_minus_exp_neg_adaptive_slice`].
-///
-/// # Panics
-///
-/// Panics if `bs` and `out` have different lengths.
-pub fn one_minus_exp_neg_scaled_slice(bs: &[f64], rate: f64, out: &mut [f64]) {
-    assert_eq!(bs.len(), out.len(), "input/output slices must match");
-    dispatch_simd!(scaled(bs, rate, out), scaled_body(bs, rate, out));
-}
-
-/// Fused per-capacity k-span walk of the adaptive satisfaction series:
-/// for one capacity `c > 0`, accumulate `pmfs[i] · k · π(c/k)` for
-/// `k = k0, k0+1, …, k0+pmfs.len()−1` into [`KSPAN_ACCS`]
-/// stride-interleaved Neumaier accumulator pairs, where
-/// `π(b) = 1 − e^{−b²/(κ+b)}`.
-///
-/// This is the inner loop of the fused B+R grid pass
-/// (`bevra_core::discrete_batch`): instead of the slice kernels' outer-k /
-/// inner-capacity layout (one call pair per admission level), one call
-/// walks a whole span of levels for one capacity, so the per-level call
-/// and mask overhead vanishes and the loop runs at the full width of the
-/// resolved SIMD tier.
-///
-/// Numerical contract: **deterministic and bitwise identical across ISA
-/// tiers** (the sub-accumulator count is fixed, so the summation order
-/// never depends on the vector width), but **not** bitwise equal to the
-/// slice-kernel composition — the exponent uses the factored denominator
-/// `k·(κk + c)` and a 12-coefficient reduced polynomial, both a few ULPs
-/// off the 14-coefficient slice forms and far inside the fast kernels'
-/// 1e-13 relative budget (see `adaptive_kspan_matches_slice_form_closely`).
-///
-/// Resume the walk by calling again with the next `k0` and the same
-/// accumulators; read the running total with [`kspan_total`]. `k0` and
-/// the implied `k` values must be exactly representable (`k < 2^53`;
-/// callers use table indices `< 2^26`).
-pub fn one_minus_exp_neg_adaptive_kspan(
-    c: f64,
-    kappa: f64,
-    k0: f64,
-    pmfs: &[f64],
-    sums: &mut [f64; KSPAN_ACCS],
-    comps: &mut [f64; KSPAN_ACCS],
-) {
-    dispatch_simd!(
-        adaptive_kspan(c, kappa, k0, pmfs, sums, comps),
-        adaptive_kspan_body(c, kappa, k0, pmfs, sums, comps)
-    );
-}
-
-/// Collapse k-span accumulators into one compensated total, in the fixed
-/// order `sums[0], comps[0], sums[1], comps[1], …` — part of the k-span
-/// bitwise contract (any fixed order works; this one is it).
-#[must_use]
-pub fn kspan_total(sums: &[f64; KSPAN_ACCS], comps: &[f64; KSPAN_ACCS]) -> f64 {
-    let mut acc = 0.0f64;
-    let mut corr = 0.0f64;
-    for j in 0..KSPAN_ACCS {
-        for v in [sums[j], comps[j]] {
-            let t = acc + v;
-            corr += if acc.abs() >= v.abs() { (acc - t) + v } else { (v - t) + acc };
-            acc = t;
-        }
-    }
-    acc + corr
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,133 +192,5 @@ mod tests {
             assert!(v >= prev - 1e-15, "non-monotone at i={i}");
             prev = v;
         }
-    }
-
-    #[test]
-    fn slice_matches_scalar_bitwise() {
-        let xs: Vec<f64> = (0..4096).map(|i| f64::from(i) * 7.3e-3).collect();
-        let mut out = vec![0.0; xs.len()];
-        one_minus_exp_neg_slice(&xs, &mut out);
-        for (&x, &o) in xs.iter().zip(&out) {
-            assert_eq!(o.to_bits(), one_minus_exp_neg(x).to_bits());
-        }
-    }
-
-    #[test]
-    fn fused_slices_match_their_scalar_compositions_bitwise() {
-        let bs: Vec<f64> = (-64..4096).map(|i| f64::from(i) * 3.7e-3).collect();
-        let mut out = vec![0.0; bs.len()];
-        let kappa = 0.62086;
-        one_minus_exp_neg_adaptive_slice(&bs, kappa, &mut out);
-        for (&b, &o) in bs.iter().zip(&out) {
-            let b = if b > 0.0 { b } else { 0.0 };
-            let want = one_minus_exp_neg(b * b / (kappa + b));
-            assert_eq!(o.to_bits(), want.to_bits(), "adaptive at b={b}");
-        }
-        let rate = 1.7;
-        one_minus_exp_neg_scaled_slice(&bs, rate, &mut out);
-        for (&b, &o) in bs.iter().zip(&out) {
-            let b = if b > 0.0 { b } else { 0.0 };
-            let want = one_minus_exp_neg(rate * b);
-            assert_eq!(o.to_bits(), want.to_bits(), "scaled at b={b}");
-        }
-    }
-
-    #[test]
-    fn adaptive_grid_matches_split_form_closely() {
-        let kappa = 0.62086;
-        let cs: Vec<f64> = (-8..2048).map(|i| f64::from(i) * 0.49).collect();
-        let mut grid = vec![0.0; cs.len()];
-        for k in [1u64, 2, 7, 64, 4093, 262143] {
-            let kf = k as f64;
-            one_minus_exp_neg_adaptive_grid(&cs, kf, kappa, &mut grid);
-            for (&c, &g) in cs.iter().zip(&grid) {
-                let b = if c > 0.0 { c / kf } else { 0.0 };
-                let want = one_minus_exp_neg(b * b / (kappa + b));
-                // Not bitwise (the exponent is rounded differently), but
-                // the relative gap must stay far below the fast kernels'
-                // 1e-13 budget.
-                let diff = (g - want).abs();
-                assert!(
-                    diff <= 1e-14 * want.abs().max(1e-300) + 1e-305,
-                    "C={c} k={k}: grid {g:e} vs split {want:e}"
-                );
-                if c <= 0.0 {
-                    assert_eq!(g, 0.0, "C={c} must clamp to exactly 0");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "slices must match")]
-    fn slice_length_mismatch_panics() {
-        let xs = [0.0; 3];
-        let mut out = [0.0; 2];
-        one_minus_exp_neg_slice(&xs, &mut out);
-    }
-
-    #[test]
-    fn reduced_polynomial_stays_within_kspan_budget() {
-        // The 12-coefficient variant must track the 14-coefficient
-        // evaluation to ~5e-16 relative on the full input range.
-        let mut x = 1e-12;
-        while x < 40.0 {
-            let got = one_minus_exp_neg_pos12(x);
-            let want = one_minus_exp_neg(x);
-            assert!(
-                (got - want).abs() <= 4.0 * f64::EPSILON * want.abs().max(1e-300),
-                "pos12 at x={x:e}: got {got:e} want {want:e}"
-            );
-            x *= 1.000_91;
-        }
-        assert_eq!(one_minus_exp_neg_pos12(0.0), 0.0);
-        assert_eq!(one_minus_exp_neg_pos12(50.0), 1.0);
-    }
-
-    #[test]
-    fn adaptive_kspan_matches_slice_form_closely() {
-        // Walk a span with unit weights k·p = term shape used by the B
-        // series; compare against the scalar composition through the
-        // standard (14-coefficient, unfactored-denominator) path.
-        let kappa = 0.62086;
-        let len = 4099usize; // off the accumulator stride on purpose
-        let pmfs: Vec<f64> = (0..len).map(|i| 1.0 / (1.0 + i as f64).powi(3)).collect();
-        for c in [0.25, 5.0, 97.3, 1000.0] {
-            let mut sums = [0.0; KSPAN_ACCS];
-            let mut comps = [0.0; KSPAN_ACCS];
-            // Split the walk mid-span to exercise resumability.
-            one_minus_exp_neg_adaptive_kspan(c, kappa, 1.0, &pmfs[..1000], &mut sums, &mut comps);
-            one_minus_exp_neg_adaptive_kspan(
-                c,
-                kappa,
-                1001.0,
-                &pmfs[1000..],
-                &mut sums,
-                &mut comps,
-            );
-            let got = kspan_total(&sums, &comps);
-            let mut want = 0.0f64;
-            for (i, &p) in pmfs.iter().enumerate() {
-                let kf = 1.0 + i as f64;
-                let b = c / kf;
-                want += p * kf * one_minus_exp_neg(b * b / (kappa + b));
-            }
-            let rel = (got - want).abs() / want.abs().max(1e-300);
-            assert!(rel <= 1e-13, "c={c}: kspan {got:e} vs slice-form {want:e} (rel {rel:e})");
-        }
-    }
-
-    #[test]
-    fn kspan_total_is_ordered_and_compensated() {
-        let mut sums = [0.0; KSPAN_ACCS];
-        let mut comps = [0.0; KSPAN_ACCS];
-        sums[0] = 1.0;
-        sums[1] = 1e100;
-        sums[2] = 1.0;
-        sums[3] = -1e100;
-        assert_eq!(kspan_total(&sums, &comps), 2.0);
-        comps[4] = 3.5;
-        assert_eq!(kspan_total(&sums, &comps), 5.5);
     }
 }

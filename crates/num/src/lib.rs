@@ -39,11 +39,7 @@ pub mod sum;
 
 pub use env::{env_count, parse_bounded_count};
 pub use error::{NumError, NumResult};
-pub use fastexp::{
-    kspan_total, one_minus_exp_neg, one_minus_exp_neg_adaptive_grid,
-    one_minus_exp_neg_adaptive_kspan, one_minus_exp_neg_adaptive_slice,
-    one_minus_exp_neg_scaled_slice, one_minus_exp_neg_slice, KSPAN_ACCS,
-};
+pub use fastexp::one_minus_exp_neg;
 pub use fixed_point::fixed_point;
 pub use int_search::{argmax_unimodal_u64, first_true_u64};
 pub use optimize::{bracket_maximum, golden_section_max, maximize, Maximum};

@@ -1,10 +1,11 @@
-//! Cached SIMD-tier detection and the `BEVRA_SIMD` override.
+//! Cached SIMD-tier detection, the `BEVRA_SIMD` override, and the
+//! dispatch macro of this crate's tiered kernels.
 //!
-//! Every dispatched slice kernel in this crate ([`crate::fastexp`],
-//! [`crate::sum`], [`crate::expm1`]) compiles one portable body at several
-//! vector widths behind the bit-parity contract (identical IEEE lane
-//! arithmetic at every tier: no FMA in the fast and summation bodies, and
-//! in the `expm1` port FMA exactly where the verified host libm fuses), so
+//! The exact path's `expm1` port ([`crate::expm1`]) and
+//! [`crate::sum::masked_neumaier_step`] each compile one portable body at
+//! several vector widths behind the bit-parity contract (identical IEEE
+//! lane arithmetic at every tier: no FMA in the summation body, and in the
+//! `expm1` port FMA exactly where the verified host libm fuses), so
 //! *which* tier runs is purely a throughput decision. This module is the
 //! single place that decision is made:
 //!
@@ -138,6 +139,31 @@ pub fn resolve(request: Option<&str>, detected: Level) -> (Level, Option<String>
         },
     }
 }
+
+/// Dispatch a kernel invocation to the resolved SIMD tier: one arm per
+/// `#[target_feature]` wrapper module (`avx512`, `avx2`, `neon`, in scope
+/// at the call site), falling through to the portable body. Every tier
+/// computes bit-identical results, so this is purely a throughput
+/// decision.
+macro_rules! dispatch_simd {
+    ($func:ident ( $($arg:expr),* ), $portable:expr) => {
+        match crate::simd::level() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `simd::level()` only reports tiers the running CPU
+            // supports (detection-checked, and `force_level` asserts it).
+            crate::simd::Level::Avx512 => unsafe { avx512::$func($($arg),*) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above — AVX2 support was verified at detection.
+            crate::simd::Level::Avx2 => unsafe { avx2::$func($($arg),*) },
+            #[cfg(target_arch = "aarch64")]
+            // SAFETY: as above — NEON support was verified at detection.
+            crate::simd::Level::Neon => unsafe { neon::$func($($arg),*) },
+            _ => $portable,
+        }
+    };
+}
+
+pub(crate) use dispatch_simd;
 
 /// Cached resolved level: 0 = uninitialized, otherwise `level as u8 + 1`.
 static RESOLVED: AtomicU8 = AtomicU8::new(0);

@@ -80,11 +80,10 @@ macro_rules! isa_step_wrapper {
     ($modname:ident, $arch:literal, $feat:literal) => {
         #[cfg(target_arch = $arch)]
         mod $modname {
-            //! Wider-lane instantiation of the masked step (same pattern
-            //! as the `fastexp` wrappers: identical per-element IEEE
-            //! arithmetic — no FMA contraction — on wider lanes, so
-            //! dispatch is purely a throughput decision and results are
-            //! bitwise identical).
+            //! Wider-lane instantiation of the masked step: identical
+            //! per-element IEEE arithmetic — no FMA contraction — on
+            //! wider lanes, so dispatch is purely a throughput decision
+            //! and results are bitwise identical.
             #[target_feature(enable = $feat)]
             pub unsafe fn masked_step(
                 scale: f64,
@@ -127,7 +126,7 @@ pub fn masked_neumaier_step(
         mask.len() == n && sums.len() == n && comps.len() == n,
         "accumulator slices must match the term slice"
     );
-    crate::fastexp::dispatch_simd!(
+    crate::simd::dispatch_simd!(
         masked_step(scale, terms, mask, sums, comps),
         masked_neumaier_step_body(scale, terms, mask, sums, comps)
     );

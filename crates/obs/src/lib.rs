@@ -3,7 +3,7 @@
 //! One instrumentation surface for every layer — the sweep engine, the
 //! flow-level simulator, the network substrate, and the figure binaries —
 //! with no external dependencies (the build environment is offline, so the
-//! `tracing`/`metrics` crates are unavailable). Three pieces:
+//! `tracing`/`metrics` crates are unavailable). Four pieces:
 //!
 //! * [`mod@span`] — hierarchical, thread-aware timing spans. Each thread
 //!   buffers its completed spans locally (one short uncontended lock per
@@ -19,9 +19,6 @@
 //!   [Perfetto](https://ui.perfetto.dev)), a Prometheus-style text
 //!   exposition of the metrics registry, and a plain-text summary table
 //!   printed by the figure binaries;
-//! * [`energy`] — an optional zero-dep RAPL energy probe over
-//!   `/sys/class/powercap` (Linux-only; absent or unreadable → `None`,
-//!   downstream schemas report null and never gate on it);
 //! * [`recorder`] — the always-on flight recorder: bounded per-thread
 //!   seqlock rings of structured events (span boundaries, counter deltas,
 //!   fault trips, health records, ordered by a logical sequence counter)
@@ -71,7 +68,6 @@
 
 #![deny(missing_docs)]
 
-pub mod energy;
 pub mod export;
 pub mod metrics;
 pub mod recorder;

@@ -1,20 +1,26 @@
-//! Roofline probe for the fig4 value kernels: wall time next to the
-//! traffic and arithmetic it implies, for the fused fast pass per SIMD
-//! tier.
+//! Roofline probe for the fig4 value kernel: wall time next to the
+//! traffic and arithmetic it implies, for the exact fused B+R pass (the
+//! default `batch` backend) at each forceable SIMD tier.
 //!
 //! For the Figure 4 setting (algebraic z = 3 load tabulated to 2^18
 //! entries, adaptive-exponential utility, 48-point capacity grid) the
-//! fast B-pass walks every admission level for every lane — ~12.6M
-//! lane-evaluations per sweep, each reading one 8-byte pmf entry and
-//! spending ~33 flops (range reduction + 12-coefficient polynomial +
-//! Neumaier update). That is ~4 flop/byte: comfortably compute-bound on
-//! any machine whose caches hold a 2 MiB table, which is why widening
-//! the datapath (AVX2 → AVX-512) and shortening the polynomial pay off
-//! while cutting table traffic does not. See EXPERIMENTS.md § "Roofline
-//! and energy".
+//! exact pass walks (nearly) every admission level for every lane — up
+//! to ~12.6M lane-evaluations per sweep. Each one spends ~44 flops: the
+//! bandwidth division `C/k` (1), the exponent `−b²/(κ+b)` (4), the `expm1` port's
+//! full lane body (~30: k-rounding, `hi`/`lo` split, Estrin `r1`,
+//! reconstruction), the `b ≤ 0` select (1) and the masked Neumaier update
+//! (~8). The loop is outer `k`, inner capacity lane, so the table is read
+//! once per level — `pmf(k)` and the prefix mean behind
+//! `tail_mean_above(k)`, 16 bytes — and shared by all 48 lanes, while the
+//! per-lane scratch (capacities, bandwidths, `π`, mask, accumulators)
+//! stays in L1. That is ~130 flop per table byte: compute-bound on any
+//! machine, so the tier (the width the `expm1` port and the Neumaier step
+//! run at) is what moves the time. See EXPERIMENTS.md § "Roofline and
+//! energy".
 //!
-//! Energy is read from the optional RAPL probe when `/sys/class/powercap`
-//! is present and readable; otherwise the column prints `n/a`.
+//! The `scalar` tier runs the host libm's `expm1` wherever the port's
+//! verified variant needs FMA (the probe's documented fallback), so its
+//! row times libm, not the port.
 //!
 //! ```text
 //! cargo run --release --example kernel_roofline
@@ -22,16 +28,15 @@
 
 use bevra::analysis::{sweep_grid_fused, DiscreteModel, PiEval};
 use bevra::load::{Algebraic, Tabulated, PAPER_MEAN_LOAD};
-use bevra::num::simd;
-use bevra::obs::energy::EnergyProbe;
+use bevra::num::{expm1, simd};
 use bevra::utility::AdaptiveExp;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Estimated flops per lane-evaluation of the fast π kernel: ~6 for the
-/// range reduction, ~14 for the degree-12 polynomial (Estrin), ~4 for
-/// the reconstruction and weight, ~9 for the Neumaier update.
-const FLOPS_PER_LANE_EVAL: f64 = 33.0;
+/// Estimated flops per lane-evaluation of the exact pass (see module docs).
+const FLOPS_PER_LANE_EVAL: f64 = 44.0;
+/// Table bytes read per admission level: `pmf(k)` and the prefix mean.
+const TABLE_BYTES_PER_LEVEL: f64 = 16.0;
 
 fn grid(n: usize) -> Vec<f64> {
     let (lo, hi) = (PAPER_MEAN_LOAD / 20.0, 10.0 * PAPER_MEAN_LOAD);
@@ -45,30 +50,26 @@ fn main() {
     let model = DiscreteModel::new(Arc::clone(&load), AdaptiveExp::paper());
     let cs = grid(48);
 
-    // The algebraic z = 3 tail decays too slowly for the early-exit bound
-    // to fire, so every lane walks the whole table: the eval count is the
-    // full rectangle, not an estimate.
-    let lane_evals = (load.len() as u64 - 1) * cs.len() as u64;
-    let bytes = lane_evals as f64 * 8.0; // one pmf read per lane-eval
+    // The algebraic z = 3 tail decays too slowly for the 1e-15 early-exit
+    // bound to fire before the table runs out, so the count is the full
+    // rectangle: an upper bound that the exit can trim only near the end.
+    let levels = load.len() as u64 - 1;
+    let lane_evals = levels * cs.len() as u64;
+    let bytes = levels as f64 * TABLE_BYTES_PER_LEVEL;
     let flops = lane_evals as f64 * FLOPS_PER_LANE_EVAL;
     println!(
-        "fig4 sweep: {} lanes x {} levels = {:.2}M lane-evals, {:.0} MiB pmf traffic, {:.2} GF, {:.1} flop/byte",
+        "fig4 sweep: {} lanes x {} levels = {:.2}M lane-evals, {:.1} MiB table traffic, {:.2} GF, {:.0} flop/byte",
         cs.len(),
-        load.len() - 1,
+        levels,
         lane_evals as f64 / 1e6,
         bytes / (1024.0 * 1024.0),
         flops / 1e9,
         flops / bytes,
     );
-    let probe = EnergyProbe::open();
-    match &probe {
-        Some(p) => println!("energy: RAPL probe open ({} package domain(s))", p.domain_count()),
-        None => println!("energy: no readable RAPL hierarchy (column prints n/a)"),
-    }
     println!();
     println!(
-        "{:<26} {:>10} {:>12} {:>14} {:>10} {:>10}",
-        "configuration", "ms/sweep", "ns/point", "ns/lane-eval", "GF/s", "J/sweep"
+        "{:<26} {:>8} {:>10} {:>12} {:>14} {:>10}",
+        "configuration", "expm1", "ms/sweep", "ns/point", "ns/lane-eval", "GF/s"
     );
 
     let detected = simd::detected();
@@ -78,43 +79,37 @@ fn main() {
         .filter(|t| t.runnable_at(detected))
         .collect();
 
-    let row = |name: &str, f: &dyn Fn() -> f64| {
-        // Warm once, then time three sweeps and keep the fastest.
-        let _ = f();
+    let mut bits_per_tier = Vec::new();
+    for &tier in &tiers {
+        simd::force_level(tier);
+        let sweep = || sweep_grid_fused(&model, &cs, PiEval::Exact).best_effort[47];
+        // Warm once (this also runs the tier's expm1 probe), then time
+        // three sweeps and keep the fastest.
+        let bits = sweep().to_bits();
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let t0 = Instant::now();
-            let sink = f();
+            std::hint::black_box(sweep());
             best = best.min(t0.elapsed().as_secs_f64());
-            std::hint::black_box(sink);
         }
-        let joules = probe.as_ref().and_then(|p| {
-            let r = p.begin()?;
-            let _ = std::hint::black_box(f());
-            r.joules()
-        });
         let ns = best * 1e9;
         println!(
-            "{:<26} {:>10.2} {:>12.0} {:>14.2} {:>10.2} {:>10}",
-            name,
+            "{:<26} {:>8} {:>10.2} {:>12.0} {:>14.2} {:>10.2}",
+            format!("fused-exact  @ {}", tier.as_str()),
+            format!("{:?}", expm1::path()),
             best * 1e3,
             ns / cs.len() as f64,
             ns / lane_evals as f64,
             flops / ns,
-            joules.map_or_else(|| "n/a".to_string(), |j| format!("{j:.3}")),
         );
-    };
-
-    for &tier in &tiers {
-        simd::force_level(tier);
-        let label = format!("fused-fast   @ {}", tier.as_str());
-        row(&label, &|| sweep_grid_fused(&model, &cs, PiEval::Fast).best_effort[47]);
+        bits_per_tier.push(bits);
     }
     simd::force_level(restore);
 
     println!();
     println!(
-        "note: identical B[47] bits across tiers is the dispatch contract; run with\n\
-         BEVRA_SIMD=scalar|avx2|avx512 to pin the whole process to one tier."
+        "B[47] bits {} across tiers (the dispatch contract); run with\n\
+         BEVRA_SIMD=scalar|avx2|avx512 to pin the whole process to one tier.",
+        if bits_per_tier.windows(2).all(|w| w[0] == w[1]) { "identical" } else { "DIFFER" }
     );
 }

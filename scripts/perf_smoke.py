@@ -16,13 +16,10 @@ job that only ran one bench target (e.g. the sim-scale job running
 `--bench sim`) can gate on its own rows without demanding the kernel
 rows. `--row-threshold NAME:RATIO` (repeatable) replaces THRESHOLD for
 one row with a tighter per-row bound against its committed baseline —
-used by the kernel job to hold the fused B+R pass (`kernel_sweep_fused`)
-within 1.15× of its baseline median, and by the sim-scale job to hold the
-million-flow timer-wheel loop (`sim_million_flow_wheel_soa`) within 1.74×.
-
-Rows may carry an optional `joules_per_sweep` field (null when the RAPL
-probe was unavailable). It is printed when present and never gated —
-energy varies across machines far more than wall time does.
+used by the kernel job to hold the exact fused B+R pass
+(`kernel_sweep_fused`) within 1.15× of its baseline median, and by the
+sim-scale job to hold the million-flow timer-wheel loop
+(`sim_million_flow_wheel_soa`) within 1.74×.
 
 Usage: perf_smoke.py [fresh] [baseline] [--threshold X]
                      [--require NAME ...] [--row-threshold NAME:RATIO ...]
@@ -100,16 +97,6 @@ def main():
         print(f"{name:40} {b / 1e6:10.2f}ms {f / 1e6:10.2f}ms {ratio:6.2f}x {bound:6.2f}x{flag}")
         if ratio > bound:
             failures.append((name, ratio, bound))
-
-    energy = [
-        (name, row["joules_per_sweep"])
-        for name, row in sorted(fresh.items())
-        if row.get("joules_per_sweep") is not None
-    ]
-    if energy:
-        print("energy (informational, never gated):")
-        for name, joules in energy:
-            print(f"  {name:38} {joules:.4f} J/sweep")
 
     if failures:
         worst = ", ".join(f"{n} ({r:.2f}x > {b:.2f}x)" for n, r, b in failures)

@@ -85,46 +85,6 @@ fn batched_exact_kernels_match_scalar_bitwise() {
     );
 }
 
-/// The fast (vectorized-π) traversal stays within its documented relative
-/// budget of the scalar path on every cell, for `B` and for `R` (whose
-/// head is a snapshot of the same k-span walk). The budget is generous
-/// relative to the observed error (~1e-15): π evaluations differ by at
-/// most 8 ULPs and `B` is a positively weighted mean of them. `k_max`
-/// never uses the fast π, so it is bitwise.
-#[test]
-fn batched_fast_kernel_stays_within_budget() {
-    Checker::new("batch_fast_budget").scale_cases(8).run(
-        &ScenarioStrategy::default(),
-        |sc: &Scenario| {
-            let utility = sc.utility.as_dyn();
-            let cs = sorted_grid(sc);
-            for (li, load) in sc.loads.iter().enumerate() {
-                let table = Arc::new(load.tabulate()?);
-                let model = scenario_model(&table, &utility, sc);
-                let got = sweep_grid_fused(&model, &cs, PiEval::Fast);
-                for (i, &c) in cs.iter().enumerate() {
-                    let cell = format!("load[{li}]={load:?} C={c}");
-                    ensure(got.k_max[i] == model.k_max(c), || {
-                        format!("{cell}: fast-mode k_max diverged")
-                    })?;
-                    for (name, v, reference) in [
-                        ("B", got.best_effort[i], model.best_effort(c)),
-                        ("R", got.reservation[i], model.reservation(c)),
-                    ] {
-                        let tol = 1e-12 * reference.abs().max(1e-12);
-                        ensure((v - reference).abs() <= tol, || {
-                            format!(
-                                "{cell}: fast {name} {v:e} vs scalar {reference:e} (tol {tol:e})"
-                            )
-                        })?;
-                    }
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
 /// Index of the first adjacent pair violating `k_max` monotonicity in
 /// `C`, ignoring `None` entries (nonpositive capacities / elastic loads).
 fn monotonicity_violation(k_maxes: &[Option<u64>]) -> Option<usize> {
@@ -346,45 +306,11 @@ fn check_parity(
     }
 }
 
-/// The identity nudge is transparent: routing a fused fast sweep through
-/// the mutation hook with `|k| k` must reproduce `sweep_grid_fused`
-/// bit-for-bit on every randomized scenario — otherwise the hook itself
-/// perturbs the path it exists to test, and the mutation test below
-/// proves nothing. Runs under the Checker so a violation shrinks to a
-/// minimal scenario.
-#[test]
-fn fused_split_nudge_identity_is_transparent() {
-    use bevra::analysis::discrete_batch::sweep_grid_fused_with_split_nudge;
-    Checker::new("fused_nudge_identity").scale_cases(4).run(
-        &ScenarioStrategy::default(),
-        |sc: &Scenario| {
-            let utility = sc.utility.as_dyn();
-            let cs = sorted_grid(sc);
-            for (li, load) in sc.loads.iter().enumerate() {
-                let table = Arc::new(load.tabulate()?);
-                let model = scenario_model(&table, &utility, sc);
-                let clean = sweep_grid_fused(&model, &cs, PiEval::Fast);
-                let hooked =
-                    sweep_grid_fused_with_split_nudge(&model, &cs, PiEval::Fast, |k| k);
-                for (i, &c) in cs.iter().enumerate() {
-                    let cell = format!("load[{li}]={load:?} C={c}");
-                    ensure(
-                        hooked.best_effort[i].to_bits() == clean.best_effort[i].to_bits()
-                            && hooked.reservation[i].to_bits() == clean.reservation[i].to_bits(),
-                        || format!("{cell}: identity nudge changed the fused sweep"),
-                    )?;
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
 /// Forced SIMD tiers are **bitwise-identical**: the dispatch contract
-/// (one portable body, fixed sub-accumulator stride, never FMA) promises
-/// that `BEVRA_SIMD` only changes throughput, never bits. Sweeps every
-/// backend at every tier runnable on this host and compares against the
-/// scalar-tier bits.
+/// (one portable body per tier, FMA only where the verified host libm
+/// fuses) promises that `BEVRA_SIMD` only changes throughput, never bits.
+/// Sweeps every backend at every tier runnable on this host and compares
+/// against the scalar-tier bits.
 #[test]
 fn forced_simd_tiers_are_bitwise_identical() {
     let _guard = TIER_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -468,25 +394,22 @@ fn registered_backends_hold_parity_under_forced_tiers() {
 }
 
 /// Capability records of the backends carry the contract the rest of the
-/// workspace depends on: `batch` bitwise, fast/portable in tolerance
-/// classes of their own, and the fast record reporting the tier that
-/// actually runs. Holds [`TIER_LOCK`]: the two tier reads below must not
-/// straddle another test's `force_level`.
+/// workspace depends on: `batch` bitwise and reporting the tier its
+/// `expm1` port actually runs at, portable in a tolerance class and
+/// cache-key tag of its own. Holds [`TIER_LOCK`]: the two tier reads
+/// below must not straddle another test's `force_level`.
 #[test]
 fn builtin_capability_records_are_coherent() {
     let _guard = TIER_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let [batch, fast, portable] = PiEval::ALL.map(PiEval::capability);
+    let [batch, portable] = PiEval::ALL.map(PiEval::capability);
     assert_eq!(batch.name, "batch", "the default backend comes first");
     assert_eq!(batch.parity, ParityClass::Bitwise);
-    assert!(matches!(fast.parity, ParityClass::Tolerance(t) if t > 0.0));
     assert!(matches!(portable.parity, ParityClass::Tolerance(t) if t > 0.0));
-    assert!(portable.portable && !fast.portable && !batch.portable);
-    assert_ne!(fast.cache_tag, batch.cache_tag);
-    assert_ne!(portable.cache_tag, fast.cache_tag);
+    assert!(portable.portable && !batch.portable);
     assert_ne!(portable.cache_tag, batch.cache_tag);
     assert_eq!(
-        fast.simd,
+        batch.simd,
         kernel::resolved_simd_level(),
-        "fast capability reports the runtime dispatch tier"
+        "batch capability reports the runtime dispatch tier"
     );
 }

@@ -1,8 +1,8 @@
 //! Workspace acceptance for the kernel backends and their `BEVRA_KERNEL`
 //! names: capability records flow into pinned persistent-cache keys, a
-//! `scalar` request is bitwise the per-point path, and the
-//! `deterministic-portable` backend produces pinned, libm-independent
-//! bits.
+//! request for a retired backend (`scalar`, `fast`) is bitwise the
+//! per-point path, and the `deterministic-portable` backend produces
+//! pinned, libm-independent bits.
 
 use bevra::analysis::{sweep_grid_fused, DiscreteModel, PiEval};
 use bevra::engine::{grid_key, registry, CacheMode, ExecMode, Kind, Store, SweepEngine};
@@ -39,20 +39,13 @@ fn capability_record_round_trips_through_cache_key() {
     batch.prime(&cs);
     assert_eq!(batch.store().map(|s| s.stats(Kind::Grid).stores), Some(1));
 
-    // Fast and portable request different capability keys: both miss the
-    // batch entry and store their own.
-    for k in [PiEval::Fast, PiEval::Portable] {
-        let other = engine(k);
-        other.prime(&cs);
-        let s = other.store().expect("store attached").stats(Kind::Grid);
-        assert_eq!(
-            (s.hits, s.misses),
-            (0, 1),
-            "{}: must not be served another parity class's rows",
-            k.capability().name
-        );
-        assert_eq!(s.stores, 1, "{}: stores its own entry", k.capability().name);
-    }
+    // Portable requests a different capability key: it misses the batch
+    // entry and stores its own.
+    let other = engine(PiEval::Portable);
+    other.prime(&cs);
+    let s = other.store().expect("store attached").stats(Kind::Grid);
+    assert_eq!((s.hits, s.misses), (0, 1), "portable must not be served batch's rows");
+    assert_eq!(s.stores, 1, "portable stores its own entry");
 
     // A warm batch engine is a pure hit again.
     let warm = engine(PiEval::Exact);
@@ -66,8 +59,8 @@ fn capability_record_round_trips_through_cache_key() {
 /// `results/cache` stay valid and a capability edit cannot re-key them
 /// silently. The model is libm-free (literal load weights, rigid
 /// utility), so the pins hold on every platform. The retired `scalar`
-/// backend shared `batch`'s key; a `scalar` request now resolves to
-/// `batch` and so still finds those entries.
+/// backend shared `batch`'s key; requests for it and for the retired
+/// `fast` backend now resolve to `batch` and so find batch's entries.
 #[test]
 fn grid_keys_are_pinned_per_backend() {
     let load = Tabulated::from_weights(vec![
@@ -77,9 +70,9 @@ fn grid_keys_are_pinned_per_backend() {
     let cs: Vec<f64> = (1..=24).map(|i| 0.625 * f64::from(i)).collect();
     let key = |k: PiEval| grid_key(&m, &k.capability(), &cs);
     assert_eq!(key(PiEval::Exact), 0x8EA0_92CC_DDB9_C263, "batch key moved");
-    assert_eq!(key(PiEval::Fast), 0xFBC0_C652_D164_B09E, "fast key moved");
     assert_eq!(key(PiEval::Portable), 0x4D02_51F9_A305_2604, "portable key moved");
     assert_eq!(key(registry::resolve(Some("scalar")).kernel), key(PiEval::Exact));
+    assert_eq!(key(registry::resolve(Some("fast")).kernel), key(PiEval::Exact));
 }
 
 /// A `BEVRA_KERNEL=scalar` request is bitwise the per-point path:
@@ -165,7 +158,6 @@ fn health_ledger_names_the_active_backend() {
     let cs = grid();
     for (k, want) in [
         (PiEval::Exact, "batch"),
-        (PiEval::Fast, "fast"),
         (PiEval::Portable, "deterministic-portable"),
     ] {
         let checked = SweepEngine::with_mode(model(), ExecMode::Serial)
