@@ -64,9 +64,9 @@ fn main() {
         ran += 1;
     }
 
-    // Recovery corpus: the resilience-runtime invariants (transient
-    // faults rescued bitwise, permanent faults degrade with breaker
-    // accounting, kill/resume digest-equal) over a smaller fixed prefix —
+    // Recovery corpus: the fleet invariants (a lane panic loses exactly
+    // that lane, every other lane bitwise intact; kill/resume
+    // digest-equal) over a smaller fixed prefix —
     // each case runs several whole fleets, so a quarter of the sweep
     // corpus keeps the job time comparable.
     let recovery_cases = cases.div_ceil(4).max(1);
@@ -98,10 +98,10 @@ fn main() {
         "check-chaos: {ran} case(s), {} point(s) ({} failed, {} degraded — all accounted), \
          {} sim event(s) bounded by watchdog, {}/{} artifact save(s) failed atomically, \
          {} cached sweep(s) bit-transparent ({} cache I/O fault(s) absorbed), \
-         {} lane(s) rescued bitwise via {} restart(s) ({} breaker trip(s), \
-         {} lane(s) correctly dead); no invariant violated",
+         {} lane(s) correctly dead, {} lane(s) restored bitwise from checkpoints; \
+         no invariant violated",
         stats.points, stats.failed, stats.degraded, stats.sim_events, stats.save_failures,
-        stats.saves, stats.cache_sweeps, stats.cache_io_errors, stats.rescued_lanes,
-        stats.lane_restarts, stats.fleet_breaker_trips, stats.dead_lanes,
+        stats.saves, stats.cache_sweeps, stats.cache_io_errors, stats.dead_lanes,
+        stats.restored_lanes,
     );
 }

@@ -45,8 +45,8 @@ use bevra_faults::{install, FaultKind, FaultPlan, FaultRule, PANIC_MARKER};
 use bevra_report::persist::{load_figure, save_figure};
 use bevra_report::series::{Figure, Panel, Series};
 use bevra_sim::{
-    Discipline, Fleet, FleetConfig, HoldingDist, MixedPoisson, QueueKind, SimConfig, SimError,
-    Simulation,
+    Discipline, Fleet, FleetConfig, FleetReport, HoldingDist, MixedPoisson, QueueKind, SimConfig,
+    SimError, Simulation,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -138,13 +138,9 @@ pub struct ChaosStats {
     /// Persistent-cache load/store attempts absorbed as I/O failures
     /// (each degraded to a recompute or a skipped store).
     pub cache_io_errors: u64,
-    /// Fleet lane re-executions performed by recovery supervisors.
-    pub lane_restarts: u64,
-    /// Recovery-breaker trips across fleet cases.
-    pub fleet_breaker_trips: u64,
-    /// Lanes rescued to bitwise-identical reports after transient faults.
-    pub rescued_lanes: u64,
-    /// Lanes correctly declared dead under permanent faults.
+    /// Fleet lanes restored bitwise from a checkpoint after a kill.
+    pub restored_lanes: u64,
+    /// Lanes correctly declared dead under injected lane panics.
     pub dead_lanes: u64,
 }
 
@@ -456,16 +452,16 @@ pub fn run_case(case_seed: u64) -> Result<ChaosStats, String> {
     Ok(stats)
 }
 
-/// Run one *recovery* chaos case: the resilience-runtime invariants over
-/// a randomly shaped fleet. Three phases, all derived from `case_seed`:
+/// Run one *recovery* chaos case: the lane-isolation and kill/resume
+/// invariants over a randomly shaped fleet. Three phases, all derived
+/// from `case_seed`:
 ///
-/// 1. **transient faults are rescued bitwise** — a plan of `n`-bounded
-///    lane panics (plus optional shard panics, which per-lane recovery
-///    always bypasses) must yield a merged digest bitwise-equal to the
-///    fault-free run, with every restart ledgered in `FleetHealth`;
+/// 1. **an `n`-bounded lane panic kills exactly its lane** — nothing is
+///    retried, so every targeted lane is absent, accounted one entry per
+///    lane, and every other lane's digest equals the fault-free run's;
 /// 2. **permanent faults degrade, never abort** — permanently dead lanes
-///    are declared dead one by one, every surviving lane's digest is
-///    untouched, and sustained death is visible in the breaker ledger;
+///    are declared dead one by one, and every other lane is present and
+///    bitwise untouched;
 /// 3. **kill/resume is bitwise** — a run killed at the `sim/fleet-ckpt`
 ///    site resumes from its checkpoint to the exact fault-free digest.
 ///
@@ -507,46 +503,28 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
         return Err(fail("fault-free reference run was not clean".into()));
     }
 
-    // Phase 1: transient-only plan. Every targeted lane panics on its
-    // first `n` attempts and must be restarted to its exact bits.
-    let targets = 1 + rng.random_range(0..3u64) as usize;
+    // Phase 1: `n`-bounded lane panics. With no retry the bound never
+    // matters: each targeted lane dies on its one run, and only it.
+    let mut targeted: Vec<u32> = Vec::new();
     let mut plan = FaultPlan::seeded(rng.random::<u64>());
-    for _ in 0..targets {
-        let lane = rng.random_range(0..u64::from(lanes));
-        let n = 1 + rng.random_range(0..2u64); // within the default retry budget
-        plan = plan.rule(FaultRule::at_key(FaultKind::Panic, "sim/lane", lane).with_n(n));
+    for _ in 0..1 + rng.random_range(0..3u64) {
+        let lane = rng.random_range(0..u64::from(lanes)) as u32;
+        let n = 1 + rng.random_range(0..2u64);
+        plan = plan
+            .rule(FaultRule::at_key(FaultKind::Panic, "sim/lane", u64::from(lane)).with_n(n));
+        if !targeted.contains(&lane) {
+            targeted.push(lane);
+        }
     }
-    if rng.random::<f64>() < 0.5 {
-        // Shard-site panics are always rescuable: recovery re-runs lanes
-        // individually and never crosses `sim/shard`.
-        plan = plan.rule(FaultRule::with_prob(
-            FaultKind::Panic,
-            "sim/shard",
-            0.2 + 0.5 * rng.random::<f64>(),
-        ));
-    }
-    let rescued = {
+    let bounded = {
         let _guard = install(plan);
         fleet.run_on(shards, QueueKind::Wheel)
     };
-    if !rescued.health.all_ok() {
-        return Err(fail(format!(
-            "transient-only plan was not fully rescued: {:?}",
-            rescued.health.failed
-        )));
-    }
-    if rescued.merged.digest() != reference.merged.digest() {
-        return Err(fail("rescued fleet digest diverged from the fault-free run".into()));
-    }
-    if rescued.health.restarts == 0 {
-        return Err(fail("transient lane faults fired but no restart was ledgered".into()));
-    }
-    stats.lane_restarts += rescued.health.restarts;
-    stats.fleet_breaker_trips += rescued.health.breaker_trips;
-    stats.rescued_lanes += u64::from(rescued.health.ok_lanes);
+    check_lane_isolation("n-bounded plan", &bounded, &reference, &targeted).map_err(fail)?;
+    stats.dead_lanes += u64::from(bounded.health.failed_lanes());
 
     // Phase 2: permanent lane deaths. The targeted lanes stay dead;
-    // everyone else is bitwise-untouched; nothing aborts.
+    // everyone else is present and bitwise-untouched; nothing aborts.
     let dead_count = 1 + rng.random_range(0..u64::from(lanes) - 1) as u32;
     let mut dead: Vec<u32> = Vec::new();
     let mut plan = FaultPlan::seeded(rng.random::<u64>());
@@ -562,45 +540,7 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
         let _guard = install(plan);
         fleet.run_on(shards, QueueKind::Wheel)
     };
-    if degraded.health.failed_lanes() < dead.len() as u32 {
-        return Err(fail(format!(
-            "{} permanently faulted lane(s) but health says only {} failed",
-            dead.len(),
-            degraded.health.failed_lanes()
-        )));
-    }
-    for lane in 0..lanes as usize {
-        if dead.contains(&(lane as u32)) {
-            if degraded.lane_digests[lane].is_some() {
-                return Err(fail(format!(
-                    "lane {lane} is permanently faulted but still produced a report"
-                )));
-            }
-        } else if let Some(digest) = degraded.lane_digests[lane] {
-            if Some(digest) != reference.lane_digests[lane] {
-                return Err(fail(format!(
-                    "surviving lane {lane} digest diverged from the fault-free run"
-                )));
-            }
-        } else {
-            // A healthy lane with no report must have been shed by the
-            // open breaker (fail-fast after sustained death), and the
-            // failure entry must say so — never a silent drop.
-            let shed = degraded.health.failed.iter().any(|f| {
-                f.lanes.contains(&(lane as u32)) && f.error.contains("breaker open")
-            });
-            if !shed {
-                return Err(fail(format!(
-                    "healthy lane {lane} went missing without a breaker-open record"
-                )));
-            }
-        }
-    }
-    if degraded.health.restarts == 0 {
-        return Err(fail("permanent deaths recorded no restart attempts".into()));
-    }
-    stats.lane_restarts += degraded.health.restarts;
-    stats.fleet_breaker_trips += degraded.health.breaker_trips;
+    check_lane_isolation("permanent plan", &degraded, &reference, &dead).map_err(fail)?;
     stats.dead_lanes += u64::from(degraded.health.failed_lanes());
 
     // Phase 3: kill mid-run at the checkpoint site, resume, compare
@@ -623,7 +563,10 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
     }
     let resumed_fleet =
         Fleet::new(cfg).with_checkpoint(Store::new(&ckpt_dir, CacheMode::ReadWrite));
-    let resumed = resumed_fleet.run_on(shards, QueueKind::Wheel);
+    let resumed = {
+        let _guard = install(FaultPlan::seeded(0));
+        resumed_fleet.run_on(shards, QueueKind::Wheel)
+    };
     let restored =
         resumed_fleet.checkpoint_store().map_or(0, |s| s.stats(Kind::Fleet).restored);
     if restored == 0 {
@@ -633,8 +576,39 @@ pub fn run_recovery_case(case_seed: u64) -> Result<ChaosStats, String> {
         return Err(fail("resumed fleet digest diverged from the uninterrupted run".into()));
     }
     let _ = std::fs::remove_dir_all(&ckpt_dir);
-    stats.rescued_lanes += restored;
+    stats.restored_lanes += restored;
     Ok(stats)
+}
+
+/// A fleet run under lane-keyed panics lost exactly the `dead` lanes,
+/// one single-lane failure entry each, and every other lane is present
+/// with the fault-free run's digest.
+fn check_lane_isolation(
+    what: &str,
+    run: &FleetReport,
+    reference: &FleetReport,
+    dead: &[u32],
+) -> Result<(), String> {
+    let h = &run.health;
+    if h.failed.len() != dead.len() || h.failed.iter().any(|f| f.lanes.len() != 1) {
+        return Err(format!(
+            "{what}: {} lane(s) panicked but health records {:?}",
+            dead.len(),
+            h.failed
+        ));
+    }
+    for (lane, (got, want)) in run.lane_digests.iter().zip(&reference.lane_digests).enumerate() {
+        if dead.contains(&(lane as u32)) {
+            if got.is_some() {
+                return Err(format!("{what}: panicked lane {lane} still produced a report"));
+            }
+        } else if got.is_none() || got != want {
+            return Err(format!(
+                "{what}: lane {lane} is not bitwise the fault-free run's ({got:?} vs {want:?})"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Merge per-case counters.
@@ -648,9 +622,7 @@ impl std::ops::AddAssign for ChaosStats {
         self.save_failures += o.save_failures;
         self.cache_sweeps += o.cache_sweeps;
         self.cache_io_errors += o.cache_io_errors;
-        self.lane_restarts += o.lane_restarts;
-        self.fleet_breaker_trips += o.fleet_breaker_trips;
-        self.rescued_lanes += o.rescued_lanes;
+        self.restored_lanes += o.restored_lanes;
         self.dead_lanes += o.dead_lanes;
     }
 }

@@ -4,9 +4,8 @@
 use crate::cache::{f64_key, CacheStats, ShardedCache};
 use crate::instrument::{span, SweepHealth};
 use crate::ledger::fnv1a;
-use crate::pool::{
-    compute_retry_policy, parallel_map_supervised, parallel_map_with, thread_count, ItemError,
-};
+use crate::deadline::Deadline;
+use crate::pool::{parallel_map_isolated, parallel_map_with, thread_count, ItemError};
 use crate::store::{hex_f64, Fields, Kind, Record, Store};
 use bevra_core::kernel::{KernelCapability, ParityClass};
 use bevra_core::welfare::SampledValue;
@@ -14,7 +13,6 @@ use bevra_core::{equalizing_price_ratio, sweep_grid_fused, DiscreteModel, PiEval
 use bevra_faults::FaultKind;
 use bevra_num::{brent, expand_bracket_up, NumError, NumResult};
 use bevra_obs::{enabled, metrics, ObsLevel};
-use bevra_resilience::Deadline;
 use bevra_utility::Utility;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -584,9 +582,9 @@ impl<U: Utility> SweepEngine<U> {
     /// parallel per [`Self::mode`]. Failed gap solves surface as NaN.
     ///
     /// Legacy all-or-nothing wrapper over [`Self::sweep_checked`]: a
-    /// point whose evaluation panics on every attempt its retry policy
-    /// permits (see [`crate::pool::parallel_map_supervised`]) panics here
-    /// too, after every other point has been evaluated. Use
+    /// point whose evaluation panics (see
+    /// [`crate::pool::parallel_map_isolated`]) panics here too, after
+    /// every other point has been evaluated. Use
     /// `sweep_checked` to get structured per-point outcomes instead.
     pub fn sweep(&self, capacities: &[f64]) -> Vec<SweepPoint> {
         self.sweep_checked(capacities).expect_points()
@@ -598,12 +596,11 @@ impl<U: Utility> SweepEngine<U> {
     /// (non-finite or failed gap solve) and failed (panicked) points —
     /// one bad point no longer aborts the sweep.
     ///
-    /// Resilience wiring:
+    /// Failure handling:
     ///
-    /// * **retry** — per-point panics are retried under the ambient
-    ///   compute policy ([`compute_retry_policy`]: one immediate serial
-    ///   retry, `BEVRA_RETRY` overrides); retries spent land in
-    ///   `health.retries`.
+    /// * **isolation** — a panicking point fails once and degrades to
+    ///   [`PointOutcome::Failed`]; it is not retried, since the same pure
+    ///   evaluation would panic again.
     /// * **deadline** — the ambient `BEVRA_DEADLINE_MS` deadline is
     ///   checked at sweep-point granularity; points skipped after expiry
     ///   degrade to [`PointOutcome::Failed`] with a deadline cause.
@@ -627,15 +624,14 @@ impl<U: Utility> SweepEngine<U> {
         let timing = enabled(ObsLevel::Summary);
         let lat = metrics::histogram("engine/sweep_point_ns");
         let deadline = Deadline::from_env("bevra-engine");
-        let policy = compute_retry_policy();
         let threads = self.mode.threads();
         let indexed: Vec<(usize, f64)> = capacities.iter().copied().enumerate().collect();
         let n = indexed.len();
-        let eval = |&(i, c): &(usize, f64), attempt: u32| -> PointEval {
+        let eval = |&(i, c): &(usize, f64)| -> PointEval {
             if deadline.expired() {
                 return PointEval::DeadlineSkipped;
             }
-            bevra_faults::panic_point_attempt("engine/point", i as u64, u64::from(attempt));
+            bevra_faults::panic_point("engine/point", i as u64);
             timed_point(timing, &lat, || {
                 let best_effort = self.best_effort(c);
                 let reservation = self.reservation(c);
@@ -667,13 +663,11 @@ impl<U: Utility> SweepEngine<U> {
             }
         }
         let batch_len = if ckpt.is_some() { BATCH_POINTS } else { n.max(1) };
-        let mut retries_total = 0u64;
         for (batch_idx, batch) in indexed.chunks(batch_len).enumerate() {
             let todo: Vec<(usize, f64)> =
                 batch.iter().filter(|(i, _)| slots[*i].is_none()).copied().collect();
             if !todo.is_empty() {
-                let (results, retries) = parallel_map_supervised(&todo, threads, &policy, eval);
-                retries_total += retries;
+                let results = parallel_map_isolated(&todo, threads, eval);
                 for ((i, _), r) in todo.iter().zip(results) {
                     slots[*i] = Some(r);
                 }
@@ -698,12 +692,12 @@ impl<U: Utility> SweepEngine<U> {
         let cap = self.kernel.capability();
         health.kernel = Some(cap.name.to_string());
         health.simd = Some(cap.simd.as_str().to_string());
-        health.retries = retries_total;
         let outcomes = slots
             .into_iter()
             .zip(&indexed)
-            .map(|(r, &(index, capacity))| match r.unwrap_or(Err(ItemError::Missing)) {
-                Ok(PointEval::Done(pt, gap_cause)) => {
+            .map(|(r, &(index, capacity))| match r {
+                None => unreachable!("every point is evaluated or restored"),
+                Some(Ok(PointEval::Done(pt, gap_cause))) => {
                     let mut non_finite_fields = 0u64;
                     for v in
                         [pt.best_effort, pt.reservation, pt.performance_gap, pt.bandwidth_gap]
@@ -723,12 +717,12 @@ impl<U: Utility> SweepEngine<U> {
                     }
                     PointOutcome::Ok(pt)
                 }
-                Ok(PointEval::DeadlineSkipped) => {
+                Some(Ok(PointEval::DeadlineSkipped)) => {
                     let cause = format!("deadline expired before evaluating C = {capacity}");
                     health.note_failed(&cause);
                     PointOutcome::Failed { capacity, index, cause }
                 }
-                Err(e @ (ItemError::Panic { .. } | ItemError::Missing)) => {
+                Some(Err(e)) => {
                     let cause = e.to_string();
                     health.note_failed(&cause);
                     PointOutcome::Failed { capacity, index, cause }
@@ -876,27 +870,6 @@ mod tests {
         (1..=24).map(|i| f64::from(i) * 9.0).collect()
     }
 
-    /// Keep injected-panic backtrace spam out of the test output without
-    /// racing other tests on the global hook (installed once, filters by
-    /// the fault marker, delegates everything else).
-    fn silence_injected_panics() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let msg = info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                    .unwrap_or("");
-                if !msg.contains("bevra-faults: injected panic") {
-                    prev(info);
-                }
-            }));
-        });
-    }
-
     #[test]
     fn parallel_sweep_bitwise_matches_serial() {
         let cs = grid();
@@ -986,26 +959,6 @@ mod tests {
         assert_ne!(k1, grid_key(&m1, &batch, &caps[..2]), "grid re-keys");
         let capped = DiscreteModel::new(load, Rigid::unit()).with_admission_cap(5);
         assert_ne!(k1, grid_key(&capped, &batch, &caps), "admission cap re-keys");
-    }
-
-    #[test]
-    fn transient_point_panic_is_rescued_and_ledgered() {
-        use bevra_faults::{install, FaultKind, FaultPlan, FaultRule};
-        let cs = grid();
-        let reference = poisson_engine(ExecMode::Serial).sweep(&cs);
-        let plan = FaultPlan::seeded(0)
-            .rule(FaultRule::at_key(FaultKind::Panic, "engine/point", 3).with_n(1));
-        let checked = {
-            silence_injected_panics();
-            let _guard = install(plan);
-            poisson_engine(ExecMode::Serial).sweep_checked(&cs)
-        };
-        assert_eq!(checked.health.failed, 0, "transient fault was rescued");
-        assert_eq!(checked.health.retries, 1, "the rescue is ledgered");
-        for (a, b) in reference.iter().zip(checked.points()) {
-            assert_eq!(a.best_effort.to_bits(), b.best_effort.to_bits());
-            assert_eq!(a.bandwidth_gap.to_bits(), b.bandwidth_gap.to_bits());
-        }
     }
 
     #[test]

@@ -40,21 +40,14 @@ pub struct SweepHealth {
     /// non-finite field, or a solver error surfaced as NaN).
     pub degraded: u64,
     /// Points that produced no value at all (isolated worker panic or a
-    /// lost result slot).
+    /// point skipped after the deadline expired).
     pub failed: u64,
     /// Total non-finite fields across all degraded points (one point can
     /// contribute several).
     pub non_finite: u64,
-    /// Retry attempts spent rescuing transient per-point failures
-    /// (isolated worker retries under the active `RetryPolicy`). A
-    /// nonzero count with zero failures means the retries worked.
+    /// Always 0: a panicked point is never retried. Kept only for
+    /// readers outside this workspace that still read it.
     pub retries: u64,
-    /// Circuit-breaker trips recorded while producing this ledger (lane
-    /// supervision or guarded evaluation; engine sweeps keep per-item
-    /// retry decisions breaker-free for determinism).
-    pub breaker_trips: u64,
-    /// Work units (fleet lanes) restarted by a supervisor.
-    pub restarts: u64,
     /// Human-readable cause of the first degradation or failure, in
     /// input order.
     pub first_failure: Option<String>,
@@ -130,9 +123,6 @@ impl SweepHealth {
         self.degraded += other.degraded;
         self.failed += other.failed;
         self.non_finite += other.non_finite;
-        self.retries += other.retries;
-        self.breaker_trips += other.breaker_trips;
-        self.restarts += other.restarts;
         if self.first_failure.is_none() {
             self.first_failure.clone_from(&other.first_failure);
         }
@@ -152,13 +142,6 @@ impl std::fmt::Display for SweepHealth {
             "{} ok, {} degraded, {} failed ({} non-finite values)",
             self.ok, self.degraded, self.failed, self.non_finite
         )?;
-        if self.retries + self.breaker_trips + self.restarts > 0 {
-            write!(
-                f,
-                "; {} retries, {} breaker trips, {} restarts",
-                self.retries, self.breaker_trips, self.restarts
-            )?;
-        }
         if let Some(cause) = &self.first_failure {
             write!(f, "; first failure: {cause}")?;
         }
@@ -350,15 +333,12 @@ impl SweepReport {
                 |k| format!("\"{}\"", esc(k)),
             );
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"ok\": {}, \"degraded\": {}, \"failed\": {}, \"non_finite\": {}, \"retries\": {}, \"breaker_trips\": {}, \"restarts\": {}, \"first_failure\": {}, \"kernel\": {}, \"simd\": {}}}{}\n",
+                "    {{\"name\": \"{}\", \"ok\": {}, \"degraded\": {}, \"failed\": {}, \"non_finite\": {}, \"first_failure\": {}, \"kernel\": {}, \"simd\": {}}}{}\n",
                 esc(name),
                 h.ok,
                 h.degraded,
                 h.failed,
                 h.non_finite,
-                h.retries,
-                h.breaker_trips,
-                h.restarts,
                 first,
                 kernel,
                 simd,
@@ -439,38 +419,6 @@ mod tests {
         assert!(!h.is_clean());
         let text = h.to_string();
         assert!(text.contains("2 degraded") && text.contains("max iterations"), "{text}");
-        assert!(!text.contains("retries"), "quiet resilience counters stay out of Display");
-        h.retries = 3;
-        h.restarts = 1;
-        let text = h.to_string();
-        assert!(text.contains("3 retries") && text.contains("1 restarts"), "{text}");
-    }
-
-    #[test]
-    fn merge_sums_resilience_counters() {
-        let mut a = SweepHealth::new();
-        a.retries = 2;
-        a.breaker_trips = 1;
-        let mut b = SweepHealth::new();
-        b.retries = 3;
-        b.restarts = 4;
-        a.merge(&b);
-        assert_eq!((a.retries, a.breaker_trips, a.restarts), (5, 1, 4));
-    }
-
-    #[test]
-    fn report_serializes_resilience_columns() {
-        let mut h = SweepHealth::new();
-        h.note_ok();
-        h.retries = 2;
-        h.breaker_trips = 1;
-        h.restarts = 3;
-        let report =
-            SweepReport::new(vec![], vec![], 1).with_health(vec![("fleet".into(), h)]);
-        let json = report.to_json();
-        assert!(json.contains("\"retries\": 2"), "json: {json}");
-        assert!(json.contains("\"breaker_trips\": 1"), "json: {json}");
-        assert!(json.contains("\"restarts\": 3"), "json: {json}");
     }
 
     #[test]

@@ -82,13 +82,6 @@ pub struct LedgerRecord {
     pub failed: u64,
     /// Non-finite fields across all degraded points.
     pub non_finite: u64,
-    /// Point-evaluation retries performed by the resilience runtime
-    /// (summed over health ledgers).
-    pub retries: u64,
-    /// Circuit-breaker trips during the run.
-    pub breaker_trips: u64,
-    /// Worker/lane restarts performed by supervisors during the run.
-    pub restarts: u64,
     /// Digest of the run's numeric results. Two runs with equal
     /// fingerprints and kernels must produce equal digests — a mismatch
     /// is a determinism regression `obs-report` flags.
@@ -122,7 +115,6 @@ impl LedgerRecord {
              \"points\":{},\"seconds\":{},\"ns_per_point\":{},\
              \"cache_hits\":{},\"cache_misses\":{},\
              \"ok\":{},\"degraded\":{},\"failed\":{},\"non_finite\":{},\
-             \"retries\":{},\"breaker_trips\":{},\"restarts\":{},\
              \"simd\":\"{}\",\"digest\":\"{:016x}\"",
             esc(&self.id),
             self.unix_ms,
@@ -138,9 +130,6 @@ impl LedgerRecord {
             self.degraded,
             self.failed,
             self.non_finite,
-            self.retries,
-            self.breaker_trips,
-            self.restarts,
             esc(&self.simd),
             self.digest,
         );
@@ -171,12 +160,11 @@ impl LedgerRecord {
 /// ledger's `crc` field) lets readers skip as a torn line.
 ///
 /// `site` is a fault-injection site consulted per attempt as `io/<site>`,
-/// like [`bevra_faults::atomic_write`]: transient faults are retried
-/// under the workspace I/O retry policy
-/// ([`bevra_resilience::RetryPolicy::io`], overridable with
-/// `BEVRA_RETRY`), waiting on the ambient fault-aware clock
-/// (virtual-clock, sleep-free, whenever a fault plan is active);
-/// permanent ones surface as errors.
+/// like [`bevra_faults::atomic_write`], and under the same I/O retry
+/// policy ([`bevra_faults::io::RetryPolicy::default`]): transient errors
+/// (`Interrupted`, `WouldBlock`) are retried with bounded backoff on the
+/// virtual clock whenever a fault plan is active (sleep-free) and the
+/// wall clock otherwise; other errors surface at once.
 ///
 /// # Errors
 ///
@@ -184,7 +172,7 @@ impl LedgerRecord {
 /// non-transient error opening, creating the parent directory for, or
 /// writing the file.
 fn append_line(site: &str, path: &Path, line: &str) -> std::io::Result<()> {
-    use bevra_resilience::RetryPolicy;
+    use bevra_faults::io::{Clock, RetryPolicy, VirtualClock, WallClock};
     use std::io::Write as _;
 
     let buf = format!("{line}\n");
@@ -194,10 +182,15 @@ fn append_line(site: &str, path: &Path, line: &str) -> std::io::Result<()> {
         }
     }
     let full_site = format!("io/{site}");
-    let policy = RetryPolicy::from_env("bevra-engine", RetryPolicy::io());
-    let mut clock = bevra_resilience::ambient_clock();
-    let attempt_once = |attempt: u32| -> Result<(), std::io::Error> {
-        match bevra_faults::io_fault(&full_site, u64::from(attempt)) {
+    let policy = RetryPolicy::default();
+    let mut clock: Box<dyn Clock> = if bevra_faults::active() {
+        Box::new(VirtualClock::default())
+    } else {
+        Box::new(WallClock::default())
+    };
+    let mut attempt: u32 = 0;
+    loop {
+        let result = match bevra_faults::io_fault(&full_site, u64::from(attempt)) {
             Some(bevra_faults::IoFault::Transient) => Err(std::io::Error::new(
                 std::io::ErrorKind::Interrupted,
                 format!("bevra-faults: injected transient I/O error at {full_site}"),
@@ -210,24 +203,19 @@ fn append_line(site: &str, path: &Path, line: &str) -> std::io::Result<()> {
                 .append(true)
                 .open(path)
                 .and_then(|mut f| f.write_all(buf.as_bytes())),
-        }
-    };
-    let schedule = policy.schedule();
-    let mut attempt: u32 = 0;
-    loop {
-        match attempt_once(attempt) {
-            Ok(()) => return Ok(()),
+        };
+        match result {
             Err(e)
-                if (attempt as usize) < schedule.len()
+                if attempt + 1 < policy.max_attempts
                     && matches!(
                         e.kind(),
                         std::io::ErrorKind::Interrupted | std::io::ErrorKind::WouldBlock
                     ) =>
             {
-                clock.sleep_ms(schedule[attempt as usize]);
+                clock.sleep_ms(policy.backoff_ms(attempt));
                 attempt += 1;
             }
-            Err(e) => return Err(e),
+            result => return result,
         }
     }
 }
@@ -252,9 +240,6 @@ mod tests {
             degraded: 1,
             failed: 1,
             non_finite: 2,
-            retries: 3,
-            breaker_trips: 1,
-            restarts: 2,
             digest: 0x0123_4567_89AB_CDEF,
         }
     }

@@ -9,10 +9,12 @@
 //!
 //! * [`pool`] — scoped-thread `parallel_map` with deterministic output
 //!   ordering (`BEVRA_THREADS` overrides the worker count), plus
-//!   [`parallel_map_supervised`] which catches per-item panics and
-//!   retries them under a `bevra_resilience::RetryPolicy`
-//!   (`BEVRA_RETRY`-overridable; then a structured [`ItemError`]) so one
-//!   bad grid point degrades instead of aborting the sweep;
+//!   [`parallel_map_isolated`], which catches per-item panics as a
+//!   structured [`ItemError`] so one bad grid point degrades instead of
+//!   aborting the sweep;
+//! * [`deadline`] — the cooperative [`Deadline`] token armed by
+//!   `BEVRA_DEADLINE_MS`, polled by the checked sweep here and by the
+//!   `bevra-sim` event loop and fleet;
 //! * [`cache`] — sharded thread-safe memo tables keyed by capacity bit
 //!   patterns, with hit/miss counters;
 //! * [`store`] — the content-addressed on-disk [`Store`], gated by
@@ -67,7 +69,8 @@
 //! point gets a [`PointOutcome`] and the run a [`SweepHealth`] ledger
 //! (ok/degraded/failed counts, non-finite tally, first failure cause)
 //! that the report crate serializes into each figure's `-perf` artifacts.
-//! Fault injection for exercising these paths lives in `bevra-faults`
+//! A point that panics fails once and is isolated: it is never retried,
+//! because the same pure evaluation would panic again. Fault injection for exercising these paths lives in `bevra-faults`
 //! (`BEVRA_FAULTS`); with no plan active the checked paths are
 //! bitwise-identical to the legacy ones.
 //!
@@ -87,6 +90,7 @@
 #![deny(missing_docs)]
 
 pub mod cache;
+pub mod deadline;
 pub mod engine;
 pub mod instrument;
 pub mod ledger;
@@ -96,6 +100,7 @@ pub mod store;
 
 pub use bevra_core::{KernelCapability, ParityClass, PiEval, SimdLevel};
 pub use cache::{CacheStats, ShardedCache};
+pub use deadline::{Deadline, DEADLINE_ENV};
 pub use engine::{
     grid_key, Architecture, CheckedSweep, ExecMode, GridRow, PointOutcome, SweepEngine,
     SweepPoint,
@@ -107,7 +112,6 @@ pub use instrument::{
     StageRecord, SweepHealth, SweepReport,
 };
 pub use pool::{
-    chunk_ranges, compute_retry_policy, default_thread_count, parallel_map,
-    parallel_map_isolated, parallel_map_supervised, parallel_map_with, parse_thread_count,
-    thread_count, ItemError, MAX_THREADS, THREADS_ENV,
+    chunk_ranges, default_thread_count, parallel_map, parallel_map_isolated, parallel_map_with,
+    parse_thread_count, thread_count, ItemError, MAX_THREADS, THREADS_ENV,
 };

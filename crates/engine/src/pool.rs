@@ -10,32 +10,18 @@
 //!
 //! # Failure isolation
 //!
-//! [`parallel_map_supervised`] wraps every per-item call in
-//! [`std::panic::catch_unwind`] and retries panicked items **serially on
-//! the same worker** under a [`bevra_resilience::RetryPolicy`]: the
-//! attempt index is passed to the closure (so fault sites can distinguish
-//! attempts), backoff waits go through the fault-aware clock (virtual
-//! under an active plan — chaos runs never sleep), and the retries spent
-//! are returned for the health ledger. An item that fails every permitted
-//! attempt degrades to an [`ItemError::Panic`] in its output slot while
-//! every other item completes normally. A result slot that was never
-//! filled (a worker died outside the per-item guard) degrades to
-//! [`ItemError::Missing`]. One bad grid point can therefore no longer
-//! abort a whole sweep process — the engine turns these errors into
-//! structured `PointOutcome::Failed` entries and `SweepHealth` counts.
+//! [`parallel_map_isolated`] runs every per-item call under
+//! [`std::panic::catch_unwind`] on the same worker loop: a panicking item
+//! degrades to an [`ItemError::Panic`] in its output slot while every
+//! other item completes normally, so one bad grid point cannot abort a
+//! whole sweep process. The engine turns these errors into structured
+//! `PointOutcome::Failed` entries and `SweepHealth` counts.
 //!
-//! [`parallel_map_isolated`] is the policy-free wrapper: the historical
-//! "one immediate serial retry" behavior, now spelled
-//! [`RetryPolicy::compute`] and overridable with `BEVRA_RETRY`.
-//!
-//! Retry decisions are **per-item-local** (a pure function of the item and
-//! its attempt count), never shared across workers — shared retry state
-//! would make rescue decisions scheduling-dependent and break the
-//! workspace's bitwise replay invariant.
+//! A panicked item is not retried. Every item is a pure function of its
+//! input, so a retry would replay the same panic.
 
-use bevra_resilience::RetryPolicy;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Environment variable overriding the worker-thread count.
@@ -79,28 +65,17 @@ pub fn thread_count() -> usize {
 /// Why an isolated item produced no value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ItemError {
-    /// The item's closure panicked on every attempt its retry policy
-    /// permitted.
+    /// The item's closure panicked.
     Panic {
-        /// The first panic's payload, rendered as text.
+        /// The panic's payload, rendered as text.
         message: String,
-        /// Whether the policy permitted (and spent) at least one retry —
-        /// `false` only under a single-attempt policy, so health reports
-        /// can distinguish "never retried" from "retried and still dead".
-        retried: bool,
     },
-    /// The item's result slot was never filled — its worker died outside
-    /// the per-item guard (e.g. an allocation failure while merging).
-    Missing,
 }
 
 impl std::fmt::Display for ItemError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ItemError::Panic { message, retried } => {
-                write!(f, "panicked{}: {message}", if *retried { " (retry also panicked)" } else { "" })
-            }
-            ItemError::Missing => write!(f, "result slot never filled by any worker"),
+            ItemError::Panic { message } => write!(f, "panicked: {message}"),
         }
     }
 }
@@ -186,108 +161,17 @@ where
         .collect()
 }
 
-/// The ambient compute-path retry policy: [`RetryPolicy::compute`] (one
-/// immediate serial retry, no backoff), overridable with `BEVRA_RETRY`.
-#[must_use]
-pub fn compute_retry_policy() -> RetryPolicy {
-    RetryPolicy::from_env("bevra-engine", RetryPolicy::compute())
-}
-
-/// [`parallel_map_with`], but with per-item panic isolation and
-/// policy-driven serial retry: each call of `f` runs under
-/// [`catch_unwind`] with its attempt index, a panicking item is retried
-/// on the same worker per `policy` (backoff on the fault-aware clock —
-/// virtual under an active plan), and exhausting the policy degrades the
-/// item to [`ItemError::Panic`] instead of aborting the sweep. Output
-/// slots that no worker filled degrade to [`ItemError::Missing`].
-///
-/// Returns the results plus the total retries spent (rescuing or not),
-/// for the caller's health ledger.
+/// [`parallel_map_with`], but with per-item panic isolation: each call
+/// of `f` runs under [`catch_unwind`], and a panicking item degrades to
+/// [`ItemError::Panic`] in its output slot instead of aborting the map.
 ///
 /// Ordering and bitwise determinism match [`parallel_map_with`]: `Ok`
-/// values are produced by the same scalar code path in input order, and
-/// retry decisions are per-item-local, so rescue behavior is independent
-/// of worker count and scheduling.
+/// values are produced by the same code path in input order.
 ///
 /// `f` must be effectively unwind-safe: observable state it mutates
 /// across a panic boundary (caches, instrumentation) must tolerate a
 /// panicked writer — true for this workspace's sharded memo caches,
 /// which only ever insert complete values and recover poisoned shards.
-pub fn parallel_map_supervised<T, U, F>(
-    items: &[T],
-    threads: usize,
-    policy: &RetryPolicy,
-    f: F,
-) -> (Vec<Result<U, ItemError>>, u64)
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T, u32) -> U + Sync,
-{
-    let n = items.len();
-    let schedule = policy.schedule();
-    let retries = AtomicU64::new(0);
-    let isolated = |i: usize| -> Result<U, ItemError> {
-        let mut clock = bevra_resilience::ambient_clock();
-        let mut attempt = 0u32;
-        let mut first_message: Option<String> = None;
-        loop {
-            match catch_unwind(AssertUnwindSafe(|| f(&items[i], attempt))) {
-                Ok(v) => return Ok(v),
-                Err(payload) => {
-                    if first_message.is_none() {
-                        first_message = Some(panic_message(payload.as_ref()));
-                    }
-                    if let Some(&wait) = schedule.get(attempt as usize) {
-                        clock.sleep_ms(wait);
-                        attempt += 1;
-                        retries.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        return Err(ItemError::Panic {
-                            message: first_message.unwrap_or_default(),
-                            retried: attempt > 0,
-                        });
-                    }
-                }
-            }
-        }
-    };
-    let results = if threads <= 1 || n <= 1 {
-        (0..n).map(isolated).collect()
-    } else {
-        let workers = threads.min(n);
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, Result<U, ItemError>)>> =
-            Mutex::new(Vec::with_capacity(n));
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let (next, collected, isolated) = (&next, &collected, &isolated);
-                scope.spawn(move || {
-                    label_shard(w);
-                    let mut local: Vec<(usize, Result<U, ItemError>)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, isolated(i)));
-                    }
-                    collected.lock().unwrap_or_else(PoisonError::into_inner).extend(local);
-                });
-            }
-        });
-        let mut slots: Vec<Option<Result<U, ItemError>>> = (0..n).map(|_| None).collect();
-        for (i, v) in collected.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            slots[i] = Some(v);
-        }
-        slots.into_iter().map(|s| s.unwrap_or(Err(ItemError::Missing))).collect()
-    };
-    (results, retries.load(Ordering::Relaxed))
-}
-
-/// [`parallel_map_supervised`] under the ambient compute policy
-/// ([`compute_retry_policy`]), discarding the retry counter — the
-/// attempt-blind compatibility entry point.
 pub fn parallel_map_isolated<T, U, F>(
     items: &[T],
     threads: usize,
@@ -298,7 +182,10 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    parallel_map_supervised(items, threads, &compute_retry_policy(), |item, _attempt| f(item)).0
+    parallel_map_with(items, threads, |item| {
+        catch_unwind(AssertUnwindSafe(|| f(item)))
+            .map_err(|payload| ItemError::Panic { message: panic_message(payload.as_ref()) })
+    })
 }
 
 /// Split `0..n` into `chunks` contiguous, balanced, non-empty ranges
@@ -388,9 +275,8 @@ mod tests {
             for (i, r) in out.iter().enumerate() {
                 if i == 41 {
                     match r {
-                        Err(ItemError::Panic { message, retried }) => {
+                        Err(ItemError::Panic { message }) => {
                             assert!(message.contains("boom at 41"), "message: {message}");
-                            assert!(retried, "the bounded retry must have been attempted");
                         }
                         other => panic!("expected Panic at 41, got {other:?} (threads={threads})"),
                     }
@@ -398,58 +284,6 @@ mod tests {
                     assert_eq!(r.as_ref().copied(), Ok(i as u64 * 3), "threads={threads}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn isolated_retry_rescues_flaky_item() {
-        use std::sync::atomic::AtomicU32;
-        // Panics on its first call for item 5 only; the serial retry succeeds.
-        let calls = AtomicU32::new(0);
-        let out = parallel_map_isolated(&[1u32, 5, 9], 1, |&x| {
-            if x == 5 && calls.fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("transient");
-            }
-            x + 1
-        });
-        assert_eq!(out, vec![Ok(2), Ok(6), Ok(10)]);
-        assert_eq!(calls.load(Ordering::Relaxed), 2, "exactly one retry");
-    }
-
-    #[test]
-    fn supervised_reports_retry_count_and_honors_policy() {
-        use std::sync::atomic::AtomicU32;
-        // Item 3 panics on attempts 0 and 1; a 3-attempt policy rescues it
-        // and the retry tally reflects the two spent retries.
-        let calls = AtomicU32::new(0);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff_ms: 0,
-            max_backoff_ms: 0,
-            total_budget_ms: 0,
-            seed: 0,
-        };
-        let (out, retries) = parallel_map_supervised(&[1u32, 3, 7], 1, &policy, |&x, attempt| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            assert!(!(x == 3 && attempt < 2), "flaky at {x}");
-            x * 2
-        });
-        assert_eq!(out, vec![Ok(2), Ok(6), Ok(14)]);
-        assert_eq!(retries, 2, "two retries rescued item 3");
-        assert_eq!(calls.load(Ordering::Relaxed), 5, "3 items + 2 extra attempts");
-        // A single-attempt policy leaves the flaky item dead with retried=false.
-        let strict = RetryPolicy { max_attempts: 1, ..policy };
-        let (out, retries) = parallel_map_supervised(&[3u32], 1, &strict, |&x, attempt| {
-            assert!(!(x == 3 && attempt < 2), "flaky at {x}");
-            x
-        });
-        assert_eq!(retries, 0);
-        match &out[0] {
-            Err(ItemError::Panic { message, retried }) => {
-                assert!(message.contains("flaky at 3"), "message: {message}");
-                assert!(!retried, "single-attempt policy never retries");
-            }
-            other => panic!("expected Panic, got {other:?}"),
         }
     }
 
@@ -486,10 +320,8 @@ mod tests {
 
     #[test]
     fn item_error_display_is_descriptive() {
-        let e = ItemError::Panic { message: "boom".into(), retried: true };
-        assert!(e.to_string().contains("boom"));
-        assert!(e.to_string().contains("retry"));
-        assert!(ItemError::Missing.to_string().contains("never filled"));
+        let e = ItemError::Panic { message: "boom".into() };
+        assert_eq!(e.to_string(), "panicked: boom");
     }
 
     #[test]

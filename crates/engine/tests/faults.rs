@@ -22,44 +22,53 @@ fn grid() -> Vec<f64> {
 }
 
 /// The headline acceptance test: a sweep with an injected panic in one
-/// point completes with results for every other point and exactly one
-/// structured failure — the process does not abort.
+/// point completes with results for every other point, bitwise those of
+/// a clean sweep, and exactly one structured failure — the process does
+/// not abort. An `n`-bounded rule behaves like a permanent one: nothing
+/// is retried, so the point fails on its one evaluation.
 #[test]
 fn injected_panic_degrades_exactly_one_point() {
     let cs = grid();
-    // Clean reference sweep, outside any plan... but taken under the
-    // install guard below would race; take it after installing a plan
-    // whose only rule targets the panic site, which never corrupts values.
-    let plan = FaultPlan::seeded(11).rule(FaultRule::at_key(FaultKind::Panic, "engine/point", 3));
-    let guard = install(plan);
-    for threads in [1, 8] {
-        let checked = engine(threads).sweep_checked(&cs);
-        assert_eq!(checked.outcomes.len(), cs.len());
-        let failed: Vec<_> = checked
-            .outcomes
-            .iter()
-            .filter_map(|o| match o {
-                PointOutcome::Failed { index, cause, .. } => Some((*index, cause.clone())),
-                PointOutcome::Ok(_) => None,
-            })
-            .collect();
-        assert_eq!(failed.len(), 1, "exactly one failed point (threads={threads})");
-        assert_eq!(failed[0].0, 3);
-        assert!(failed[0].1.contains("injected panic"), "cause: {}", failed[0].1);
-        assert_eq!(checked.health.failed, 1);
-        assert_eq!(checked.health.ok, cs.len() as u64 - 1);
-        assert_eq!(checked.health.degraded, 0);
-        assert_eq!(
-            checked.health.first_failure.as_deref().map(|c| c.contains("injected panic")),
-            Some(true)
-        );
+    // The plan is process-global, so the clean reference holds the
+    // install lock with an empty plan — otherwise a concurrently
+    // scheduled test's plan would leak into it.
+    let reference = {
+        let _guard = install(FaultPlan::seeded(0));
+        engine(8).sweep_checked(&cs)
+    };
+    assert!(reference.health.is_clean(), "health: {}", reference.health);
+    let permanent = FaultRule::at_key(FaultKind::Panic, "engine/point", 3);
+    for rule in [permanent.clone(), permanent.with_n(1)] {
+        let _guard = install(FaultPlan::seeded(11).rule(rule));
+        for threads in [1, 8] {
+            let checked = engine(threads).sweep_checked(&cs);
+            assert_eq!(checked.outcomes.len(), cs.len());
+            let mut failed = Vec::new();
+            for (o, clean) in checked.outcomes.iter().zip(&reference.outcomes) {
+                match o {
+                    PointOutcome::Failed { index, cause, .. } => failed.push((*index, cause.clone())),
+                    PointOutcome::Ok(p) => {
+                        let c = clean.point().expect("clean reference");
+                        assert_eq!(p.best_effort.to_bits(), c.best_effort.to_bits());
+                        assert_eq!(p.bandwidth_gap.to_bits(), c.bandwidth_gap.to_bits());
+                    }
+                }
+            }
+            assert_eq!(failed.len(), 1, "exactly one failed point (threads={threads})");
+            assert_eq!(failed[0].0, 3);
+            assert!(failed[0].1.contains("injected panic"), "cause: {}", failed[0].1);
+            assert_eq!(checked.health.failed, 1);
+            assert_eq!(checked.health.ok, cs.len() as u64 - 1);
+            assert_eq!(checked.health.degraded, 0);
+            assert_eq!(checked.health.retries, 0, "nothing is retried");
+            assert_eq!(
+                checked.health.first_failure.as_deref().map(|c| c.contains("injected panic")),
+                Some(true)
+            );
+        }
     }
-    drop(guard);
     // With the plan gone the same engine evaluates the full grid cleanly,
     // including the previously failed index: no lingering poisoned state.
-    // The plan is process-global, so the clean sweep holds the install
-    // lock with an empty plan — otherwise a concurrently scheduled test's
-    // plan would leak into it.
     let clean = {
         let _guard = install(FaultPlan::seeded(0));
         engine(8).sweep_checked(&cs)

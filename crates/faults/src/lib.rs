@@ -186,27 +186,6 @@ pub fn panic_point(site: &str, key: u64) {
     }
 }
 
-/// Attempt-aware variant of [`panic_point`] for supervised call sites:
-/// panics only while `attempt` is below the matching rule's `n` parameter
-/// (default: every attempt, i.e. a *permanent* fault). This makes panic
-/// faults symmetric with [`io_fault`]'s transient/permanent split — a rule
-/// like `panic:engine/point@p=0.3,n=1` fails each tripped point's first
-/// attempt and lets the policy-driven retry rescue it, while a rule
-/// without `n` keeps the point dead through every retry.
-#[inline]
-pub fn panic_point_attempt(site: &str, key: u64, attempt: u64) {
-    if active() {
-        if let Some(plan) = current_plan() {
-            if plan.trips(FaultKind::Panic, site, key)
-                && attempt < plan.count_for(FaultKind::Panic, site).unwrap_or(u64::MAX)
-            {
-                notify_trip(FaultKind::Panic, site, key);
-                panic!("{PANIC_MARKER} at {site}[{key}] (attempt {attempt})");
-            }
-        }
-    }
-}
-
 /// Pass `value` through the corruption sites: `NaN` if a
 /// [`FaultKind::Nan`] rule trips at `(site, key)`, `+∞` for
 /// [`FaultKind::Inf`], otherwise `value` untouched (bit-exact).
@@ -338,34 +317,6 @@ mod tests {
             .unwrap_or_default();
         assert!(msg.contains(PANIC_MARKER), "message: {msg}");
         panic_point("p/site", 1); // other keys pass
-    }
-
-    #[test]
-    fn panic_point_attempt_is_transient_under_n() {
-        let plan = FaultPlan::seeded(0)
-            .rule(FaultRule::at_key(FaultKind::Panic, "p/retry", 5).with_n(2));
-        let _guard = install(plan);
-        for attempt in 0..2 {
-            assert!(
-                std::panic::catch_unwind(|| panic_point_attempt("p/retry", 5, attempt)).is_err(),
-                "attempt {attempt} must still panic"
-            );
-        }
-        panic_point_attempt("p/retry", 5, 2); // attempt n recovers
-        panic_point_attempt("p/retry", 4, 0); // other keys never trip
-    }
-
-    #[test]
-    fn panic_point_attempt_without_n_is_permanent() {
-        let plan =
-            FaultPlan::seeded(0).rule(FaultRule::at_key(FaultKind::Panic, "p/perm", 1));
-        let _guard = install(plan);
-        for attempt in 0..6 {
-            assert!(
-                std::panic::catch_unwind(|| panic_point_attempt("p/perm", 1, attempt)).is_err(),
-                "attempt {attempt} must panic without an n bound"
-            );
-        }
     }
 
     #[test]

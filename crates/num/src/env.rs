@@ -62,10 +62,9 @@ pub fn parse_millis(raw: &str) -> Option<u64> {
 }
 
 /// The workspace's malformed-environment contract, shared by
-/// `BEVRA_FAULTS`, `BEVRA_RETRY`, `BEVRA_DEADLINE_MS` and
-/// `BEVRA_CACHE`: a value that fails to parse is reported **once**
-/// per `(component, variable)` pair on stderr and then ignored — a typo'd
-/// knob degrades to the default, it never aborts a run and never spams a
+/// `BEVRA_FAULTS`, `BEVRA_DEADLINE_MS` and `BEVRA_CACHE`: a value that
+/// fails to parse is reported **once** per `(component, variable)` pair
+/// on stderr and then ignored — a typo'd knob degrades to the default, it never aborts a run and never spams a
 /// sweep's worth of warnings.
 pub fn warn_malformed_env(component: &str, var: &str, detail: &str) {
     use std::collections::HashSet;

@@ -74,18 +74,6 @@ fn main() -> ExitCode {
         _ => &parsed.records[..],
     };
     print!("{}", trend_table(shown));
-    let (retries, trips, restarts) = parsed
-        .records
-        .iter()
-        .fold((0u64, 0u64, 0u64), |(a, b, c), r| {
-            (a + r.retries, b + r.breaker_trips, c + r.restarts)
-        });
-    if retries + trips + restarts > 0 {
-        println!(
-            "\nresilience: {retries} retry(ies), {trips} breaker trip(s), \
-             {restarts} restart(s) across recorded runs"
-        );
-    }
 
     let regressions = find_regressions(&parsed.records, threshold);
     if regressions.is_empty() {

@@ -87,9 +87,6 @@ fn ledger_record(fig: &Figure, report: &SweepReport) -> LedgerRecord {
         degraded: health.degraded,
         failed: health.failed,
         non_finite: health.non_finite,
-        retries: health.retries,
-        breaker_trips: health.breaker_trips,
-        restarts: health.restarts,
         digest: figure_digest(fig),
     }
 }

@@ -65,11 +65,6 @@ fn parse_line(line: &str) -> Option<LedgerRecord> {
         degraded: get_u64(&doc, "degraded")?,
         failed: get_u64(&doc, "failed")?,
         non_finite: get_u64(&doc, "non_finite")?,
-        // Resilience counters arrived mid-schema; absent on older lines,
-        // which default to zero rather than being skipped.
-        retries: get_u64(&doc, "retries").unwrap_or(0),
-        breaker_trips: get_u64(&doc, "breaker_trips").unwrap_or(0),
-        restarts: get_u64(&doc, "restarts").unwrap_or(0),
         // The SIMD tier stamp also arrived mid-schema: older lines carry
         // no field and parse as "unknown" (append-tolerant, never skipped).
         simd: doc
@@ -283,7 +278,6 @@ pub fn trend_table(records: &[LedgerRecord]) -> String {
                 format!("{:.0}", r.ns_per_point()),
                 hit_rate,
                 format!("{}/{}/{}", r.ok, r.degraded, r.failed),
-                format!("{}/{}/{}", r.retries, r.breaker_trips, r.restarts),
                 format!("{:016x}", r.digest),
             ]
         })
@@ -299,7 +293,6 @@ pub fn trend_table(records: &[LedgerRecord]) -> String {
             "ns/point",
             "cache-hit",
             "ok/deg/fail",
-            "retry/trip/restart",
             "digest",
         ],
         &rows,
@@ -326,9 +319,6 @@ mod tests {
             degraded: 0,
             failed: 0,
             non_finite: 0,
-            retries: 2,
-            breaker_trips: 0,
-            restarts: 1,
             digest,
         }
     }
@@ -344,21 +334,21 @@ mod tests {
     }
 
     #[test]
-    fn pre_resilience_lines_default_counters_to_zero() {
-        // A v1 line written before the resilience counters existed: same
-        // schema tag, no retries/breaker_trips/restarts fields. Rebuild
-        // one by splicing them out of a fresh line and re-CRCing.
+    fn lines_with_retired_recovery_counters_still_parse() {
+        // A v1 line written while the fleet and sweeps still retried:
+        // same schema tag, plus retries/breaker_trips/restarts fields.
+        // Rebuild one by splicing them into a fresh line and re-CRCing.
         let line = rec("fig2", 0xAB, 0xCD, 0.25).to_line();
         let crc_at = line.rfind(",\"crc\":\"").unwrap();
-        let old_prefix = line[..crc_at]
-            .replace(",\"retries\":2,\"breaker_trips\":0,\"restarts\":1", "");
+        let old_prefix = line[..crc_at].replace(
+            "\"non_finite\":0,",
+            "\"non_finite\":0,\"retries\":2,\"breaker_trips\":0,\"restarts\":1,",
+        );
+        assert_ne!(old_prefix, line[..crc_at], "the counters were spliced in");
         let old_line = format!("{old_prefix},\"crc\":\"{:016x}\"}}", fnv1a(old_prefix.as_bytes()));
         let parsed = parse_ledger(&old_line);
         assert_eq!(parsed.skipped, 0, "old lines must still parse");
-        assert_eq!(parsed.records.len(), 1);
-        let r = &parsed.records[0];
-        assert_eq!((r.retries, r.breaker_trips, r.restarts), (0, 0, 0));
-        assert_eq!(r.digest, 0xCD, "other fields unaffected");
+        assert_eq!(parsed.records, vec![rec("fig2", 0xAB, 0xCD, 0.25)]);
     }
 
     #[test]

@@ -22,9 +22,9 @@ use crate::holding::HoldingDist;
 use crate::link::Discipline;
 use crate::stats::Welford;
 use crate::wheel::{TimerWheelQueue, DEFAULT_GRANULARITY};
+use bevra_engine::Deadline;
 use bevra_load::Tabulated;
 use bevra_obs::{enabled, metrics, ObsLevel};
-use bevra_resilience::Deadline;
 use bevra_utility::Utility;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -1,5 +1,5 @@
-//! Measure what the resilience runtime costs when nothing goes wrong —
-//! and what recovery costs when something does.
+//! Measure what checkpointing costs when nothing goes wrong — and what
+//! a lost lane and a resume cost when something does.
 //!
 //! Runs the committed-pin ~1M-flow fleet (the `tests/determinism.rs`
 //! configuration) four ways and reports wall time:
@@ -7,8 +7,9 @@
 //! 1. **baseline** — no checkpointing, no faults;
 //! 2. **checkpointed** — a checkpoint `Store` attached (store cost on
 //!    the fault-free path);
-//! 3. **transient rescue** — one injected lane panic, rescued by the
-//!    recovery supervisor to the identical digest (restart cost);
+//! 3. **isolated lane** — one injected lane panic, which loses exactly
+//!    that lane while the other three keep their fault-free digests
+//!    (isolation cost);
 //! 4. **resume** — a run killed at the checkpoint barrier, then resumed
 //!    from disk (restore cost vs. recompute).
 //!
@@ -16,11 +17,13 @@
 //! cargo run --release --example recovery_overhead
 //! ```
 //!
-//! Every variant must land on the same merged digest — the example
-//! asserts it, so the timings can't quietly compare different work.
+//! Variants 2 and 4 must land on the baseline's merged digest, and
+//! variant 3 on the baseline's digest for every surviving lane — the
+//! example asserts it, so the timings can't quietly compare different
+//! work.
 
 use bevra::prelude::*;
-use bevra::sim::{Fleet, FleetConfig, QueueKind, SimReport};
+use bevra::sim::{Fleet, FleetConfig, FleetReport, QueueKind};
 use bevra_engine::{CacheMode, Store};
 use bevra_faults::{install, FaultKind, FaultPlan, FaultRule};
 use std::sync::Arc;
@@ -43,16 +46,16 @@ fn fleet_config() -> FleetConfig {
     }
 }
 
-fn timed(label: &str, run: impl FnOnce() -> SimReport) -> (f64, SimReport) {
+fn timed(label: &str, run: impl FnOnce() -> FleetReport) -> (f64, FleetReport) {
     let start = Instant::now();
-    let merged = run();
+    let report = run();
     let secs = start.elapsed().as_secs_f64();
     println!(
         "{label:<28} {secs:>7.3} s   {:>9.0} events/s   digest {:016x}",
-        merged.events as f64 / secs,
-        merged.digest()
+        report.merged.events as f64 / secs,
+        report.merged.digest()
     );
-    (secs, merged)
+    (secs, report)
 }
 
 fn main() {
@@ -62,24 +65,29 @@ fn main() {
     println!("~1M-flow fleet (4 lanes, 4 shards, wheel queue), release build:\n");
 
     let (base_s, baseline) =
-        timed("baseline", || Fleet::new(fleet_config()).run_on(4, QueueKind::Wheel).merged);
+        timed("baseline", || Fleet::new(fleet_config()).run_on(4, QueueKind::Wheel));
 
     let (ckpt_s, ckpt) = timed("checkpointed (fault-free)", || {
         Fleet::new(fleet_config())
             .with_checkpoint(Store::new(&dir, CacheMode::ReadWrite))
             .run_on(4, QueueKind::Wheel)
-            .merged
     });
 
-    let (rescue_s, rescued) = timed("transient lane panic", || {
+    let (isolated_s, isolated) = timed("one lane panic (isolated)", || {
         let _guard = install(
-            FaultPlan::seeded(0)
-                .rule(FaultRule::at_key(FaultKind::Panic, "sim/lane", 2).with_n(1)),
+            FaultPlan::seeded(0).rule(FaultRule::at_key(FaultKind::Panic, "sim/lane", 2)),
         );
-        let report = Fleet::new(fleet_config()).run_on(4, QueueKind::Wheel);
-        assert!(report.health.restarts >= 1, "the injected panic was never rescued");
-        report.merged
+        Fleet::new(fleet_config()).run_on(4, QueueKind::Wheel)
     });
+    assert_eq!(isolated.health.failed_lanes(), 1, "exactly the injected lane is lost");
+    for (lane, (got, want)) in isolated.lane_digests.iter().zip(&baseline.lane_digests).enumerate()
+    {
+        if lane == 2 {
+            assert_eq!(*got, None, "the panicked lane produced a report");
+        } else {
+            assert_eq!(got, want, "surviving lane {lane} drifted from the baseline");
+        }
+    }
 
     // Kill at the checkpoint barrier (all four lanes already stored),
     // then time only the resumed run.
@@ -98,22 +106,19 @@ fn main() {
         Fleet::new(fleet_config())
             .with_checkpoint(Store::new(&dir, CacheMode::ReadWrite))
             .run_on(4, QueueKind::Wheel)
-            .merged
     });
 
-    for (label, r) in
-        [("checkpointed", &ckpt), ("rescued", &rescued), ("resumed", &resumed)]
-    {
+    for (label, r) in [("checkpointed", &ckpt), ("resumed", &resumed)] {
         assert_eq!(
-            r.digest(),
-            baseline.digest(),
+            r.merged.digest(),
+            baseline.merged.digest(),
             "{label} run drifted from the baseline digest"
         );
     }
     println!(
-        "\ncheckpoint overhead {:+.1}%   rescue overhead {:+.1}%   resume {:.1}x faster than recompute",
+        "\ncheckpoint overhead {:+.1}%   one-lane-lost run {:+.1}%   resume {:.1}x faster than recompute",
         (ckpt_s / base_s - 1.0) * 100.0,
-        (rescue_s / base_s - 1.0) * 100.0,
+        (isolated_s / base_s - 1.0) * 100.0,
         base_s / resume_s,
     );
     let _ = std::fs::remove_dir_all(&dir);

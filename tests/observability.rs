@@ -30,9 +30,6 @@ fn record(id: &str, digest: u64) -> LedgerRecord {
         degraded: 1,
         failed: 1,
         non_finite: 2,
-        retries: 1,
-        breaker_trips: 0,
-        restarts: 0,
         digest,
     }
 }

@@ -247,45 +247,3 @@ fn blocking_fraction_decreases_in_capacity() {
         },
     );
 }
-
-/// The retry policy's backoff schedule is a *pure function* of the policy
-/// (bitwise-replayable, per the resilience crate's charter), each wait is
-/// capped by `max_backoff_ms`, the jittered sequence never decreases
-/// step-to-step, the attempt count respects `max_attempts`, and a nonzero
-/// `total_budget_ms` bounds the cumulative wait.
-#[test]
-fn retry_backoff_is_deterministic_monotone_and_budget_bounded() {
-    use bevra_resilience::RetryPolicy;
-    Checker::new("retry_backoff_is_deterministic_monotone_and_budget_bounded").run(
-        &(
-            (int_range(0, 1_000), int_range(0, 5_000)),
-            (int_range(0, 20_000), int_range(1, 12), int_range(0, 1 << 48)),
-        ),
-        |&((base, max), (budget, attempts, seed))| {
-            let policy = RetryPolicy {
-                max_attempts: u32::try_from(attempts).unwrap_or(1),
-                base_backoff_ms: base,
-                max_backoff_ms: max,
-                total_budget_ms: budget,
-                seed,
-            };
-            let schedule = policy.schedule();
-            ensure(schedule == policy.schedule(), || {
-                format!("schedule not deterministic for {policy:?}")
-            })?;
-            ensure((schedule.len() as u64) < attempts, || {
-                format!("{} waits exceed max_attempts={attempts}", schedule.len())
-            })?;
-            for (i, w) in schedule.iter().enumerate() {
-                ensure(*w <= max, || format!("wait[{i}]={w} above cap {max}: {schedule:?}"))?;
-                ensure(i == 0 || schedule[i - 1] <= *w, || {
-                    format!("jittered backoff decreased at step {i}: {schedule:?}")
-                })?;
-            }
-            let total: u64 = schedule.iter().sum();
-            ensure(budget == 0 || total <= budget, || {
-                format!("cumulative wait {total} blew the {budget}ms budget: {schedule:?}")
-            })
-        },
-    );
-}

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 fn tmp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("bevra-resilience-{tag}-{}", std::process::id()));
+    let d = std::env::temp_dir().join(format!("bevra-kill-resume-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
 }
